@@ -59,10 +59,11 @@ class LZWConfig:
         no clear code is transmitted because the trigger is a
         deterministic function of the shared allocation counter.
     engine:
-        Encoder implementation: ``"fast"`` (bit-parallel word-packed
-        matching, :mod:`repro.core.fastpath`), ``"reference"`` (the
-        original per-candidate trie walk, kept as the conformance
-        oracle) or ``"auto"`` (the default; resolves to ``"fast"``).
+        The encode loop's decision step, one-shot and streaming alike:
+        ``"fast"`` (bit-parallel word-packed matching,
+        :mod:`repro.core.fastpath`), ``"reference"`` (the original
+        per-candidate trie walk, kept as the conformance oracle) or
+        ``"auto"`` (the default; resolves to ``"fast"``).
         Both engines are byte-identical, so the knob never changes the
         output — only the speed at which it is produced.  Like the
         policy knobs it is not stored in containers.

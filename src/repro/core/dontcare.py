@@ -14,18 +14,30 @@ module provides both families:
   heuristic is the paper's sliding window: a bounded search over the
   next ``W`` characters choosing the child with the longest compatible
   continuation.
+
+The encode driver (:class:`repro.core.stream.StreamEncoder`) asks a
+:class:`Matcher` for each decision; :func:`reference_matcher` wraps
+:class:`ChildSelector` as the conformance oracle, and
+:func:`repro.core.fastpath.packed_matcher` is the byte-identical fast
+step.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..bitstream import TernaryVector
 from .config import LZWConfig
 from .dictionary import LZWDictionary
 
-__all__ = ["STATIC_FILLS", "static_fill", "ChildSelector"]
+__all__ = [
+    "STATIC_FILLS",
+    "ChildSelector",
+    "Matcher",
+    "reference_matcher",
+    "static_fill",
+]
 
 #: Static pre-assignment rules accepted by :func:`static_fill`.
 STATIC_FILLS = ("zero", "one", "repeat", "random")
@@ -188,3 +200,65 @@ class ChildSelector:
             if self._budget <= 0:
                 break
         return best
+
+
+class Matcher(NamedTuple):
+    """The decision step the encode driver delegates to, one per run.
+
+    A matcher is bound to the run's dictionary and to the driver's
+    retained characters, given as two parallel lists of ints —
+    ``values[i]``/``cares[i]`` are the masks of the ``i``-th retained
+    character (index 0 is the oldest one still held).  The driver
+    appends to and trims those lists and reports each change, and each
+    dictionary mutation, through the hooks below.
+    """
+
+    #: ``base(i)`` — the base code that restarts a phrase at ``i``.
+    base: Callable[[int], int]
+    #: ``child(code, i)`` — the child extending ``code`` by character
+    #: ``i``, or -1 when no child is compatible (a phrase boundary).
+    child: Callable[[int, int], int]
+    #: ``extend(lo)`` — characters ``lo ..`` were appended.
+    extend: Callable[[int], None]
+    #: ``trim(count)`` — the first ``count`` characters were dropped.
+    trim: Callable[[int], None]
+    #: ``added(code, char, new)`` — ``dictionary.add`` allocated ``new``.
+    added: Callable[[int, int, int], None]
+    #: ``reset()`` — ``dictionary.reset()`` ran.
+    reset: Callable[[], None]
+    #: ``cache_sizes()`` — entries per internal cache (diagnostics).
+    cache_sizes: Callable[[], Dict[str, int]]
+
+
+def reference_matcher(
+    dictionary: LZWDictionary,
+    config: LZWConfig,
+    values: List[int],
+    cares: List[int],
+) -> Matcher:
+    """The :class:`Matcher` of ``engine="reference"``: a plain
+    :class:`ChildSelector` over the retained characters as vectors."""
+    selector = ChildSelector(dictionary, config)
+    char_bits = config.char_bits
+    chars: List[TernaryVector] = []
+
+    def base(index: int) -> int:
+        return selector.choose_base(chars, index)
+
+    def child(code: int, index: int) -> int:
+        choice = selector.choose_child(code, chars, index)
+        return -1 if choice is None else choice[1]
+
+    def extend(lo: int) -> None:
+        chars.extend(
+            TernaryVector.from_masks(values[j], cares[j], char_bits)
+            for j in range(lo, len(values))
+        )
+
+    def trim(count: int) -> None:
+        del chars[:count]
+
+    def ignore(*_args: int) -> None:
+        return None
+
+    return Matcher(base, child, extend, trim, ignore, ignore, dict)

@@ -13,15 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from ..bitstream import BitReader, BitWriter, TernaryVector, to_characters
-from ..observability import NULL_RECORDER, Recorder
-from ..observability import schema as ev
-from ..reliability.errors import SnapshotError
+from ..bitstream import BitReader, BitWriter, TernaryVector
+from ..observability import Recorder
 from .config import LZWConfig
-from .dictionary import DictionarySnapshot, LZWDictionary
-from .dontcare import ChildSelector
-from .fastpath import encode_fast, resolve_engine
+from .dictionary import DictionarySnapshot
 from .metrics import compression_percent, compression_ratio
+from .stream import EncodeStats, StreamEncoder
 
 __all__ = ["CompressedStream", "EncodeStats", "LZWEncoder"]
 
@@ -104,22 +101,14 @@ class CompressedStream:
         return cls(tuple(codes), config, original_bits)
 
 
-@dataclass(frozen=True)
-class EncodeStats:
-    """Dictionary and phrase statistics gathered during one encoding run."""
-
-    entries_allocated: int
-    dictionary_full: bool
-    longest_entry_chars: int
-    longest_phrase_chars: int
-    total_chars: int
-
-
 class LZWEncoder:
     """Single-use encoder: construct, call :meth:`encode` once.
 
-    The dictionary persists on the instance afterwards so experiments can
-    inspect it (entry lengths, occupancy, Table 6's longest string).
+    A one-shot front end to the one encode loop: :meth:`encode` feeds
+    the whole stream to a :class:`~repro.core.stream.StreamEncoder` and
+    finalizes it.  The dictionary persists on the instance afterwards
+    so experiments can inspect it (entry lengths, occupancy, Table 6's
+    longest string).
 
     ``seed`` starts the dictionary from a
     :class:`~repro.core.dictionary.DictionarySnapshot` instead of cold
@@ -138,32 +127,21 @@ class LZWEncoder:
         seed: Optional[DictionarySnapshot] = None,
         link: Optional[int] = None,
     ) -> None:
-        self.config = config or LZWConfig()
-        self.dictionary = LZWDictionary(self.config)
-        if seed is not None:
-            self.dictionary.restore(seed)
-        if link is not None and not 0 <= link < self.dictionary.next_code:
-            raise SnapshotError(
-                f"seed link {link} is not a live code in the seeded "
-                f"dictionary (next free {self.dictionary.next_code})",
-                actual=link,
-                expected=self.dictionary.next_code,
-            )
+        self._driver = StreamEncoder(config, recorder, cancel, seed, link)
+        self.config = self._driver.config
+        self.dictionary = self._driver.dictionary
+        self.recorder = self._driver.recorder
+        self.cancel = cancel
         self.seed = seed
         self.link = link
-        self.recorder = recorder if recorder is not None else NULL_RECORDER
-        # Cooperative cancellation: any object with a ``check()`` that
-        # raises (see repro.service.cancel.CancellationToken).  Duck
-        # typed so the core never imports the service layer.
-        self.cancel = cancel
         self._used = False
 
     def encode(self, stream: TernaryVector) -> CompressedStream:
         """Compress a ternary scan stream into a :class:`CompressedStream`.
 
-        The engine is picked by ``config.engine``: ``"fast"`` (and
-        ``"auto"``, the default) runs the bit-parallel matcher of
-        :mod:`repro.core.fastpath`; ``"reference"`` runs the original
+        The decision step is picked by ``config.engine``: ``"fast"`` (and
+        ``"auto"``, the default) uses the packed matcher of
+        :mod:`repro.core.fastpath`; ``"reference"`` uses the original
         per-candidate trie walk.  Both are byte-identical — the
         differential conformance suite and the golden files lock the
         equivalence — so the knob only trades implementation.
@@ -171,150 +149,14 @@ class LZWEncoder:
         if self._used:
             raise RuntimeError("LZWEncoder instances are single-use; make a new one")
         self._used = True
-        if resolve_engine(self.config.engine) == "fast":
-            codes, expansions = encode_fast(self, stream)
-            return CompressedStream(
-                tuple(codes), self.config, len(stream), tuple(expansions)
-            )
-        return self._encode_reference(stream)
-
-    def _encode_reference(self, stream: TernaryVector) -> CompressedStream:
-        """The original per-candidate trie walk (the conformance oracle)."""
-        cfg = self.config
-        dictionary = self.dictionary
-        # Hoisted once: with the default NullRecorder the whole run pays
-        # this single attribute read, and every event site below is one
-        # local-bool branch (bench_overhead.py holds it to <= 5%).
-        rec = self.recorder
-        recording = rec.enabled
-        chars = to_characters(stream, cfg.char_bits)
-        codes: List[int] = []
-        expansions: List[int] = []
-        self._longest_phrase = 0
-        self._total_chars = len(chars)
-        if not chars:
-            return CompressedStream((), cfg, 0, ())
-        if recording:
-            rec.incr(ev.ENCODE_CHARS, len(chars))
-
-        # Deadline checkpoint, hoisted like the recorder: the common
-        # no-token path pays one extra local-bool test per character.
-        cancel = self.cancel
-        cancelling = cancel is not None
-        if cancelling:
-            cancel.check()
-
-        selector = ChildSelector(dictionary, cfg)
-        buffer = selector.choose_base(chars, 0)
-        if self.link is not None:
-            # Pipelined-wave continuation: perform the cross-shard
-            # boundary the serial encoder would have run between the
-            # previous shard's last phrase (``link``) and this one —
-            # after the head is chosen (the serial ordering), before
-            # any character is consumed.
-            self._seed_boundary(dictionary, rec, recording, self.link, buffer)
-        phrase_start = 0
-        i = 1
-        while i < len(chars):
-            if cancelling and not (i & 1023):  # every CHECK_INTERVAL chars
-                cancel.check()
-            choice = selector.choose_child(buffer, chars, i)
-            if choice is not None:
-                _char, child = choice
-                buffer = child
-                i += 1
-                continue
-            # Phrase boundary: emit the buffer code, allocate
-            # string(buffer) + head(next phrase) if the memory allows,
-            # and restart the phrase at a concrete fill of chars[i].
-            codes.append(buffer)
-            expansions.append(dictionary.nchars(buffer))
-            self._longest_phrase = max(self._longest_phrase, i - phrase_start)
-            if recording:
-                self._record_phrase(rec, chars, phrase_start, i)
-            head = selector.choose_base(chars, i)
-            if (
-                cfg.reset_on_full
-                and not dictionary.is_full
-                and dictionary.can_extend(buffer)
-                and dictionary.next_code == cfg.dict_size - 1
-            ):
-                # Adaptive variant: the allocation that would freeze the
-                # dictionary flushes it instead.  The decoder derives
-                # the same trigger from its allocation counter, so no
-                # clear code is needed in the stream.
-                dictionary.reset()
-                if recording:
-                    rec.incr(ev.DICT_RESETS)
-            else:
-                added = dictionary.add(buffer, head)
-                if recording:
-                    if added is not None:
-                        rec.incr(ev.DICT_ALLOCS)
-                    elif dictionary.is_full:
-                        rec.incr(ev.DICT_FULL_SKIPS)
-                    elif not dictionary.can_extend(buffer):
-                        rec.incr(ev.DICT_CMDATA_TRUNCATIONS)
-            buffer = head
-            phrase_start = i
-            i += 1
-        codes.append(buffer)
-        expansions.append(dictionary.nchars(buffer))
-        self._longest_phrase = max(self._longest_phrase, len(chars) - phrase_start)
-        if recording:
-            self._record_phrase(rec, chars, phrase_start, len(chars))
-            rec.incr(ev.ENCODE_CODES, len(codes))
-            rec.observe(ev.HIST_CODES_PER_WIDTH, cfg.code_bits, len(codes))
-
-        return CompressedStream(tuple(codes), cfg, len(stream), tuple(expansions))
-
-    def _seed_boundary(
-        self,
-        dictionary: LZWDictionary,
-        rec: Recorder,
-        recording: bool,
-        link: int,
-        head: int,
-    ) -> None:
-        """The maybe-reset-or-allocate step at a pipelined-wave boundary."""
-        cfg = self.config
-        if (
-            cfg.reset_on_full
-            and not dictionary.is_full
-            and dictionary.can_extend(link)
-            and dictionary.next_code == cfg.dict_size - 1
-        ):
-            dictionary.reset()
-            if recording:
-                rec.incr(ev.DICT_RESETS)
-            return
-        added = dictionary.add(link, head)
-        if recording:
-            if added is not None:
-                rec.incr(ev.DICT_ALLOCS)
-            elif dictionary.is_full:
-                rec.incr(ev.DICT_FULL_SKIPS)
-            elif not dictionary.can_extend(link):
-                rec.incr(ev.DICT_CMDATA_TRUNCATIONS)
-
-    @staticmethod
-    def _record_phrase(
-        rec: Recorder, chars: List[TernaryVector], start: int, end: int
-    ) -> None:
-        """Record one completed phrase ``chars[start:end]`` (recording only)."""
-        xbits = sum(chars[j].x_count for j in range(start, end))
-        rec.observe(ev.HIST_PHRASE_LEN, end - start)
-        rec.observe(ev.HIST_XBITS_PER_PHRASE, xbits)
-        rec.incr(ev.ENCODE_XBITS, xbits)
+        driver = self._driver
+        driver.expansions = expansions = []
+        codes = driver.feed(stream)
+        codes += driver.finalize()
+        return CompressedStream(tuple(codes), self.config, len(stream), tuple(expansions))
 
     def stats(self) -> EncodeStats:
         """Statistics of the completed run (call after :meth:`encode`)."""
         if not self._used:
             raise RuntimeError("encode() has not been called yet")
-        return EncodeStats(
-            entries_allocated=self.dictionary.allocated,
-            dictionary_full=self.dictionary.is_full,
-            longest_entry_chars=self.dictionary.longest_entry_chars(),
-            longest_phrase_chars=self._longest_phrase,
-            total_chars=self._total_chars,
-        )
+        return self._driver.stats()

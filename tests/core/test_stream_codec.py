@@ -4,38 +4,49 @@
 ``compress()`` for the same input and config, no matter how the input
 is chunked — including the adversarial chunkings: one bit at a time,
 a boundary splitting a phrase mid-match, an empty final chunk.  The
-suite runs the comparison under both engines (the one-shot side picks
-the engine; the streaming side is engine-agnostic by construction, so
-agreement with both is the full conformance statement).
+suite runs the comparison under both engines, on both sides: the
+engine picks the driver's matcher for streaming and one-shot alike, so
+each engine's streaming output must equal the other's one-shot output.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from repro.bitstream import TernaryVector
-from repro.core import LZWConfig, StreamDecoder, StreamEncoder, compress
+from repro.core import (
+    ChildSelector,
+    DecodeError,
+    LZWConfig,
+    StreamDecoder,
+    StreamEncoder,
+    compress,
+    fastpath,
+)
 from repro.core.decoder import derive_final_snapshot, iter_decode
+from repro.core.fastpath import CACHE_LIMIT
+from repro.core.stream import chars_to_vector
+from repro.hardware import DecompressorModel
+from repro.observability import CounterRecorder
+from repro.observability import schema as ev
+from repro.workloads import build_testset
 
 CFG = LZWConfig(char_bits=4, dict_size=64, entry_bits=32)
 
 ENGINES = ("reference", "fast")
 
 
+def other(engine):
+    return "fast" if engine == "reference" else "reference"
+
+
 def one_shot_codes(stream, config, engine):
-    return list(compress(stream, LZWConfig(
-        char_bits=config.char_bits,
-        dict_size=config.dict_size,
-        entry_bits=config.entry_bits,
-        policy=config.policy,
-        lookahead=config.lookahead,
-        reset_on_full=config.reset_on_full,
-        engine=engine,
-    )).compressed.codes)
+    return list(compress(stream, replace(config, engine=engine)).compressed.codes)
 
 
-def stream_codes(stream, config, chunk_bits):
-    enc = StreamEncoder(config)
+def stream_codes(stream, config, chunk_bits, engine="auto"):
+    enc = StreamEncoder(replace(config, engine=engine))
     codes = []
     if chunk_bits == 0:
         chunks = [stream]
@@ -62,8 +73,8 @@ def test_empty_input(engine):
 @pytest.mark.parametrize("engine", ENGINES)
 def test_input_smaller_than_one_chunk(engine):
     stream = TernaryVector("01X")
-    assert stream_codes(stream, CFG, 4096) == one_shot_codes(
-        stream, CFG, engine
+    assert stream_codes(stream, CFG, 4096, engine) == one_shot_codes(
+        stream, CFG, other(engine)
     )
 
 
@@ -73,8 +84,8 @@ def test_chunk_boundary_splits_phrase_mid_match(engine, chunk_bits):
     # A highly repetitive stream grows long dictionary phrases, so any
     # small chunking is guaranteed to cut through matches in progress.
     stream = TernaryVector("0110X01X" * 40)
-    assert stream_codes(stream, CFG, chunk_bits) == one_shot_codes(
-        stream, CFG, engine
+    assert stream_codes(stream, CFG, chunk_bits, engine) == one_shot_codes(
+        stream, CFG, other(engine)
     )
 
 
@@ -100,8 +111,8 @@ def test_differential_random_streams(engine, policy, lookahead):
                 n, x_density=rng.choice([0.0, 0.25, 0.6]), rng=rng
             )
             chunk = rng.choice([1, 5, 37, 128, 0])
-            assert stream_codes(stream, config, chunk) == one_shot_codes(
-                stream, config, engine
+            assert stream_codes(stream, config, chunk, engine) == one_shot_codes(
+                stream, config, other(engine)
             ), (n, chunk, reset)
 
 
@@ -111,8 +122,8 @@ def test_final_partial_character_padding():
     stream = TernaryVector("0110X01X0110X01X011")
     assert len(stream) % CFG.char_bits != 0
     for engine in ENGINES:
-        assert stream_codes(stream, CFG, 3) == one_shot_codes(
-            stream, CFG, engine
+        assert stream_codes(stream, CFG, 3, engine) == one_shot_codes(
+            stream, CFG, other(engine)
         )
 
 
@@ -172,18 +183,170 @@ def test_resume_from_boundary_is_byte_identical():
 def test_encoder_retention_is_bounded():
     """Deterministic memory-flatness proxy: the encoder's retained
     character buffer must stay bounded by the longest dictionary entry
-    plus the lookahead window plus one chunk, however long the input
-    grows (the RSS assertion under setrlimit lives in the CI smoke)."""
-    config = LZWConfig(char_bits=4, dict_size=64, entry_bits=32,
-                       policy="lookahead", lookahead=4)
+    plus the lookahead window plus one chunk, and every matcher cache by
+    CACHE_LIMIT, however long the input grows — under both engines (the
+    RSS assertion under setrlimit lives in the CI smoke)."""
+    for engine in ENGINES:
+        config = LZWConfig(char_bits=4, dict_size=64, entry_bits=32,
+                           policy="lookahead", lookahead=4, engine=engine)
+        enc = StreamEncoder(config)
+        rng = random.Random(10)
+        chunk_chars = 32
+        bound = config.max_entry_chars + config.lookahead + chunk_chars + 2
+        high_water = 0
+        cache_high_water = 0
+        for _ in range(200):
+            enc.feed(TernaryVector.random(
+                chunk_chars * config.char_bits, x_density=0.3, rng=rng
+            ))
+            high_water = max(high_water, enc.buffered_chars)
+            cache_high_water = max(
+                cache_high_water, *enc.cache_sizes().values(), 0
+            )
+        assert high_water <= bound, (engine, high_water, bound)
+        assert cache_high_water <= CACHE_LIMIT, (engine, cache_high_water)
+
+
+def test_cache_cap_never_changes_output(monkeypatch):
+    """The matcher's caches are pure: clearing them at a tiny cap keeps
+    every cache under it and leaves the codes byte-identical."""
+    rng = random.Random(11)
+    stream = TernaryVector.random(6000, x_density=0.5, rng=rng)
+    config = LZWConfig(char_bits=4, dict_size=256, entry_bits=32)
+    uncapped = stream_codes(stream, config, 64, "fast")
+    monkeypatch.setattr(fastpath, "CACHE_LIMIT", 16)
     enc = StreamEncoder(config)
-    rng = random.Random(10)
-    chunk_chars = 32
-    bound = config.max_entry_chars + config.lookahead + chunk_chars + 2
-    high_water = 0
-    for _ in range(200):
-        enc.feed(TernaryVector.random(
-            chunk_chars * config.char_bits, x_density=0.3, rng=rng
-        ))
-        high_water = max(high_water, enc.buffered_chars)
-    assert high_water <= bound, (high_water, bound)
+    codes = []
+    high_water = {}
+    for i in range(0, len(stream), 64):
+        codes.extend(enc.feed(stream[i : i + 64]))
+        for name, size in enc.cache_sizes().items():
+            high_water[name] = max(high_water.get(name, 0), size)
+    codes.extend(enc.finalize())
+    assert codes == uncapped
+    assert high_water and max(high_water.values()) <= 16, high_water
+    assert high_water["decision_memo"] == 16  # the cap was reached
+
+
+# ----------------------------------------------------------------------
+# Engine selection: the engine picks the streaming matcher too
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("engine,expect_calls", [("fast", False),
+                                                 ("reference", True)])
+def test_engine_picks_the_streaming_matcher(monkeypatch, engine, expect_calls):
+    calls = []
+    original = ChildSelector.choose_child
+
+    def counting(self, *args):
+        calls.append(args[0])
+        return original(self, *args)
+
+    stream = TernaryVector("0110X01X" * 40)
+    expected = one_shot_codes(stream, CFG, other(engine))
+    monkeypatch.setattr(ChildSelector, "choose_child", counting)
+    assert stream_codes(stream, CFG, 7, engine) == expected
+    assert bool(calls) == expect_calls
+
+
+# ----------------------------------------------------------------------
+# Long streams that cycle the dictionary through full/reset many times
+# ----------------------------------------------------------------------
+
+
+def _random_chunks(stream, rng, one_bit_share):
+    """Split ``stream`` at random points, ``one_bit_share`` of them 1 bit."""
+    out = []
+    pos = 0
+    while pos < len(stream):
+        size = 1 if rng.random() < one_bit_share else rng.randrange(1, 200)
+        out.append(stream[pos : pos + size])
+        pos += size
+    return out
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_reset_cycling_long_stream(engine):
+    """A cube stream that fills and flushes a small dictionary >= 50
+    times: streamed codes equal one-shot under any chunking, the decode
+    matches the cycle-accurate hardware model, and the decoder's final
+    dictionary equals the encoder's."""
+    config = LZWConfig(char_bits=3, dict_size=16, entry_bits=9,
+                       reset_on_full=True, engine=engine)
+    stream = build_testset("s9234f", scale=0.2).to_stream()
+    rng = random.Random(12)
+
+    expected = one_shot_codes(stream, config, other(engine))
+    for one_bit_share in (1.0, 0.3, 0.05):
+        rec = CounterRecorder()
+        enc = StreamEncoder(config, recorder=rec)
+        codes = []
+        for chunk in _random_chunks(stream, rng, one_bit_share):
+            codes.extend(enc.feed(chunk))
+        codes.extend(enc.finalize())
+        assert codes == expected, one_bit_share
+        assert rec.counters[ev.DICT_RESETS] >= 50, rec.counters
+
+    dec = StreamDecoder(config)
+    chars = []
+    for code in codes:
+        chars.extend(dec.push(code))
+    decoded = chars_to_vector(tuple(chars), config.char_bits)[: len(stream)]
+    bits = compress(stream, config).compressed.to_bits()
+    hardware = DecompressorModel(config).run(bits, len(stream))
+    assert decoded == hardware.scan_stream
+    assert decoded.covers(stream)
+    assert dec.snapshot() == enc.dictionary.snapshot()
+
+
+# ----------------------------------------------------------------------
+# Error parity: one decode loop, one diagnosis
+# ----------------------------------------------------------------------
+
+_DIAGNOSTICS = ("code_index", "code", "dict_next_code", "bit_offset",
+                "chars_decoded")
+#: Large enough that the dictionary never fills, so the top code is
+#: always past the next free one.
+ERR_CFG = LZWConfig(char_bits=4, dict_size=1024, entry_bits=32)
+
+
+def _segment(kind):
+    """``(codes, seed, link)`` of a cold, seeded or linked segment."""
+    rng = random.Random(13)
+    stream = TernaryVector.random(1200, x_density=0.3, rng=rng)
+    codes = list(compress(stream, ERR_CFG).compressed.codes)
+    if kind == "cold":
+        return codes, None, None
+    cut = len(codes) // 3
+    seed = derive_final_snapshot(codes[:cut], ERR_CFG)
+    return codes[cut:], seed, codes[cut - 1] if kind == "linked" else None
+
+
+def _diagnosis(decode):
+    with pytest.raises(DecodeError) as info:
+        decode()
+    return {key: info.value.diagnostics.get(key) for key in _DIAGNOSTICS}
+
+
+def _push_all(codes, seed, link):
+    dec = StreamDecoder(ERR_CFG, seed=seed, link=link)
+    for code in codes:
+        dec.push(code)
+
+
+@pytest.mark.parametrize("kind", ["cold", "seeded", "linked"])
+@pytest.mark.parametrize("where", ["first", "middle"])
+def test_decode_errors_agree_across_entry_points(kind, where):
+    codes, seed, link = _segment(kind)
+    bad = list(codes)
+    index = 0 if where == "first" else len(codes) // 2
+    bad[index] = ERR_CFG.dict_size - 1  # past the next free code at both points
+    diagnoses = [
+        _diagnosis(lambda: list(iter_decode(bad, ERR_CFG, seed=seed, link=link))),
+        _diagnosis(lambda: _push_all(bad, seed, link)),
+        _diagnosis(lambda: derive_final_snapshot(bad, ERR_CFG, seed=seed, link=link)),
+    ]
+    assert diagnoses[0] == diagnoses[1] == diagnoses[2]
+    assert diagnoses[0]["code_index"] == index
+    assert diagnoses[0]["bit_offset"] == index * ERR_CFG.code_bits
