@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 from ..bitstream import BitReader, TernaryVector
 from ..core import CompressedStream, LZWConfig
 from ..core.decoder import _chars_to_stream, iter_decode
-from .errors import DecodeError, ReproError, StreamError
+from .errors import DecodeError, ReproError, SnapshotError, StreamError
 
 __all__ = ["PartialDecodeResult", "decode_partial", "salvage_container"]
 
@@ -129,7 +129,9 @@ def _decode_partial_codes(
         ):
             chars.extend(expansion)
             codes_decoded = index + 1
-    except DecodeError as exc:
+    except (DecodeError, SnapshotError) as exc:
+        # A seed that passes its CRC can still fail to replay (duplicate
+        # child, entry width): no code of this segment decodes.
         error = exc
     prefix = _chars_to_stream(chars, config, None)
     if error is None and original_bits is not None:
@@ -423,7 +425,6 @@ def _salvage_seeded(data: bytes) -> PartialDecodeResult:
         _seeded_payload,
     )
     from ..core.decoder import derive_final_snapshot
-    from .errors import SnapshotError
 
     header = _parse_seeded(data, strict=False)
     config = header.config

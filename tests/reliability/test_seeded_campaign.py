@@ -11,15 +11,23 @@ fabricate output for a segment whose seed it cannot trust.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from repro.bitstream import TernaryVector
-from repro.container import SEED_BLOB, SEED_CHAIN, load_seeded
-from repro.core import LZWConfig
+from repro.container import (
+    COLD_SEED,
+    SEED_BLOB,
+    SEED_CHAIN,
+    SegmentSeed,
+    dump_segments,
+    load_seeded,
+)
+from repro.core import LZWConfig, compress, derive_final_snapshot
 from repro.parallel import SeedPlan, compress_batch
 from repro.reliability.campaign import TrialOutcome, run_campaign
-from repro.reliability.errors import ContainerError
+from repro.reliability.errors import ContainerError, SnapshotError
 from repro.reliability.inject import INJECTORS, SEEDED_INJECTORS, inject
 from repro.reliability.salvage import salvage_container
 from repro.reliability.verify import verify_container
@@ -191,6 +199,28 @@ class TestSeededSalvage:
         if not result.complete:
             assert result.failed_segment is not None
             assert result.error is not None
+
+    def test_unreplayable_blob_keeps_the_earlier_segments(self, original):
+        # A blob that passes every CRC but holds a duplicate child entry
+        # parses, then fails replay: salvage must stop at its segment
+        # with a typed SnapshotError and keep the segments before it.
+        head, tail = original[:1200], original[1200:]
+        first = compress(head, CONFIG)
+        good = derive_final_snapshot(first.compressed.codes, CONFIG)
+        assert len(good) >= 2
+        bad = replace(good, entries=good.entries[:-1] + good.entries[-2:-1])
+        second = compress(tail, CONFIG, seed=good)
+        data = dump_segments(
+            [first.compressed, second.compressed],
+            streams=[first.assigned_stream, second.assigned_stream],
+            seeds=[COLD_SEED, SegmentSeed(mode=SEED_BLOB, snapshot=bad)],
+        )
+        result = salvage_container(data)
+        assert not result.complete
+        assert result.failed_segment == 1
+        assert isinstance(result.error, SnapshotError)
+        assert result.codes_decoded == len(first.compressed.codes)
+        assert result.stream == first.assigned_stream
 
     def test_wave_predecessor_failure_stops_the_chain(self, wave_container):
         segments = load_seeded(wave_container)
