@@ -210,11 +210,14 @@ def run_experiment(scale: float, workers=WORKER_COUNTS) -> dict:
 
     # Seed-mode ablation: the same corpus and shard plan, warm.  Cold
     # reuses the workers=1 pass above; preamble and wave re-run it with
-    # the planner engaged.  Ratio and bytes are deterministic; only the
-    # seconds are machine facts.
+    # the planner engaged, and wave runs once more on a pool at the
+    # largest worker count, whose containers must equal the inline
+    # wave's.  Ratio and bytes are deterministic; only the seconds are
+    # machine facts.
     seed_ablation = [
         {
             "mode": "cold",
+            "workers": 1,
             "seconds": parallel_runs[0]["seconds"],
             "ratio_percent": round(ratio_batch, 2),
             "ratio_delta_vs_serial": round(ratio_batch - ratio_serial, 2),
@@ -222,24 +225,40 @@ def run_experiment(scale: float, workers=WORKER_COUNTS) -> dict:
         }
     ]
     warm_runs = {}
-    for mode in ("preamble", "wave"):
+    pooled = max(workers)
+    ablation_runs = [("preamble", 1), ("wave", 1)]
+    if pooled > 1:
+        ablation_runs.append(("wave", pooled))
+    for mode, count in ablation_runs:
         seconds, items, _stages, counters = run_batch(
-            streams, pattern_bits, 1, seed_mode=mode
+            streams, pattern_bits, count, seed_mode=mode
         )
-        for item, stream in zip(items, streams):
-            if not item.verify(stream):
-                raise AssertionError(
-                    f"{mode}-seeded batch output does not cover its input"
-                )
-        bits = sum(item.compressed_bits for item in items)
-        ratio = 100.0 * (1.0 - bits / total_bits)
-        warm_runs[mode] = {"seconds": seconds, "ratio": ratio}
+        containers = [item.container for item in items]
+        if count == 1:
+            for item, stream in zip(items, streams):
+                if not item.verify(stream):
+                    raise AssertionError(
+                        f"{mode}-seeded batch output does not cover its input"
+                    )
+            bits = sum(item.compressed_bits for item in items)
+            ratio = 100.0 * (1.0 - bits / total_bits)
+            warm_runs[mode] = {
+                "seconds": seconds, "ratio": ratio, "containers": containers
+            }
+        elif containers != warm_runs[mode]["containers"]:
+            raise AssertionError(
+                f"{mode}-seeded batch at workers={count} changed the output "
+                "bytes — determinism contract violated"
+            )
         seed_ablation.append(
             {
                 "mode": mode,
+                "workers": count,
                 "seconds": round(seconds, 4),
-                "ratio_percent": round(ratio, 2),
-                "ratio_delta_vs_serial": round(ratio - ratio_serial, 2),
+                "ratio_percent": round(warm_runs[mode]["ratio"], 2),
+                "ratio_delta_vs_serial": round(
+                    warm_runs[mode]["ratio"] - ratio_serial, 2
+                ),
                 "seeded_shards": counters.get("counters", {}).get(
                     "batch.seeded_shards", 0
                 ),
@@ -522,7 +541,8 @@ def main(argv=None) -> int:
     )
     for entry in report["seed_mode_ablation"]:
         print(
-            f"seed-mode {entry['mode']}: ratio {entry['ratio_percent']}%"
+            f"seed-mode {entry['mode']} (workers={entry['workers']}):"
+            f" ratio {entry['ratio_percent']}%"
             f" (delta {entry['ratio_delta_vs_serial']}% vs serial,"
             f" {entry['seeded_shards']} seeded shards, {entry['seconds']}s)"
         )

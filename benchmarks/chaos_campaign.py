@@ -6,6 +6,12 @@ and asserts the zero-silent-corruption guarantee: every trial must end
 ``CORRECT`` (containers byte-identical to the unfaulted serial run) or
 ``DETECTED`` (a loud, typed failure) — never ``SILENT`` or ``ESCAPED``.
 
+The grid runs twice: once under the cold seed plan (the report's
+top-level ``trials``/``counts``) and once under the ``wave`` plan (the
+report's ``wave`` section), where the batch runs in four rounds that
+share one pool — so a fault in one round hits a pool the next round
+reuses.  Each section's oracle is the unfaulted run under its own plan.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/chaos_campaign.py --seeds 10 \
@@ -68,29 +74,36 @@ def main(argv=None) -> int:
 
     streams = build_streams()
     started = time.perf_counter()
-    result = run_process_campaign(
-        CONFIG,
-        streams,
-        faults=tuple(args.faults),
-        seeds=range(args.seeds),
-        workers=args.workers,
-        shard_bits=150,
-        retry_policy=RetryPolicy(max_attempts=3, backoff_base=0.0, jitter=0.0),
-        shard_timeout=args.shard_timeout,
-        on_failure="degrade",
+    cold, wave = (
+        run_process_campaign(
+            CONFIG,
+            streams,
+            faults=tuple(args.faults),
+            seeds=range(args.seeds),
+            workers=args.workers,
+            shard_bits=150,
+            retry_policy=RetryPolicy(max_attempts=3, backoff_base=0.0, jitter=0.0),
+            shard_timeout=args.shard_timeout,
+            on_failure="degrade",
+            seed_plan=plan,
+        )
+        for plan in ("cold", "wave")
     )
     elapsed = time.perf_counter() - started
 
-    report = result.to_json()
+    report = cold.to_json()
+    report["wave"] = wave.to_json()
+    report["ok"] = cold.ok and wave.ok
     report["faults"] = list(args.faults)
     report["seeds"] = args.seeds
     report["workers"] = args.workers
     report["seconds"] = round(elapsed, 3)
     Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
 
-    print(result.summary())
+    print(f"cold: {cold.summary()}")
+    print(f"wave: {wave.summary()}")
     print(f"{elapsed:.1f}s, report written to {args.output}")
-    if not result.ok:
+    if not report["ok"]:
         print("CHAOS CAMPAIGN FAILED: silent corruption or escaped exception",
               file=sys.stderr)
         return 1

@@ -13,6 +13,11 @@ crash/retry/timeout schedule — can never leak into the container bytes:
 the determinism contract ``tests/parallel`` and
 ``tests/reliability/test_chaos.py`` lock down.
 
+One job owns one :class:`~repro.parallel.supervisor.Supervisor` and so
+at most one pool: a ``wave`` job's rounds all run on it, and it is shut
+down (its workers reaped) before :func:`compress_batch` returns or
+raises.
+
 The pool is pinned to the ``spawn`` multiprocessing start method on
 every platform.  ``fork`` (the historical Linux default) duplicates the
 parent's arbitrary state into workers, so fork-started and
@@ -53,7 +58,7 @@ from ..reliability.errors import ConfigError, ShardError, SnapshotError
 from .journal import ShardJournal, batch_fingerprint
 from .seeding import COLD_PLAN, SeedPlan, train_preamble
 from .shard import ShardPlan, plan_shards
-from .supervisor import ON_FAILURE_POLICIES, RetryPolicy, run_supervised
+from .supervisor import RetryPolicy, Supervisor, check_supervision
 
 __all__ = ["ShardResult", "BatchItemResult", "compress_batch"]
 
@@ -269,7 +274,12 @@ def compress_batch(
         (empty-segment) container.
     workers:
         Pool size; ``None`` means ``os.cpu_count()`` and ``<= 1`` runs
-        inline.  **Never affects the output bytes.**
+        inline.  **Never affects the output bytes.**  The job builds
+        one pool, capped at its widest round (every pending shard for
+        cold and preamble plans, one shard per workload for ``wave``),
+        and every round reuses it; a job that cannot run two shards at
+        once runs inline.  No pool worker outlives the call, whether it
+        returns or raises.
     shard_bits:
         Target shard size in bits; ``0`` disables intra-stream sharding
         (each workload is one segment).
@@ -323,21 +333,10 @@ def compress_batch(
     Returns one :class:`BatchItemResult` per input stream, in input
     order.
     """
-    # Validate the supervision knobs up front (not lazily in
-    # run_supervised) so an empty batch with a bogus policy still fails
-    # with the typed error instead of silently succeeding.
-    if on_failure not in ON_FAILURE_POLICIES:
-        raise ConfigError(
-            f"on_failure must be one of {', '.join(ON_FAILURE_POLICIES)}",
-            field="on_failure",
-            value=on_failure,
-        )
-    if shard_timeout is not None and shard_timeout <= 0:
-        raise ConfigError(
-            "shard_timeout must be positive",
-            field="shard_timeout",
-            value=shard_timeout,
-        )
+    # Validate the supervision knobs up front (not lazily when the
+    # supervisor is built) so an empty batch with a bogus policy still
+    # fails with the typed error instead of silently succeeding.
+    check_supervision(on_failure, shard_timeout)
     if resume and checkpoint is None:
         raise ConfigError(
             "resume=True needs a checkpoint path", field="resume"
@@ -483,21 +482,37 @@ def compress_batch(
             prev.compressed.codes, config, seed=prev.seed, link=prev.link
         )
 
+    if seed_plan.mode == "wave":
+        # Pipelined rounds: round r encodes shard r of every workload
+        # concurrently, seeded from round r-1's final states.
+        # Parallelism comes from the workload axis.
+        max_shards = max((plan.num_shards for plan in plan_list), default=0)
+        rounds = [
+            [key for key in pending if key[1] == index]
+            for index in range(max_shards)
+        ]
+    else:
+        rounds = [pending]
+    if workers is None:
+        workers = os.cpu_count() or 1
+    # One supervisor, and so at most one pool, for the whole job: every
+    # round reuses it.  Sized once by the widest round — the most shards
+    # that can ever run at once — so a small first round (a resumed
+    # job) cannot starve later, larger ones, and a job that is one
+    # chain runs inline.
+    supervisor = Supervisor(
+        _encode_shard,
+        _make_args,
+        workers=min(workers, max(map(len, rounds), default=0)),
+        retry_policy=retry_policy,
+        shard_timeout=shard_timeout,
+        on_failure=on_failure,
+        validate=_validate,
+        recorder=rec,
+        on_result=_on_result,
+    )
     try:
         with rec.span("encode"):
-            if workers is None:
-                workers = os.cpu_count() or 1
-            if seed_plan.mode == "wave":
-                # Pipelined rounds: round r encodes shard r of every
-                # workload concurrently, seeded from round r-1's final
-                # states.  Parallelism comes from the workload axis.
-                max_shards = max((plan.num_shards for plan in plan_list), default=0)
-                rounds = [
-                    [key for key in pending if key[1] == index]
-                    for index in range(max_shards)
-                ]
-            else:
-                rounds = [pending]
             for round_keys in rounds:
                 runnable = []
                 for key in round_keys:
@@ -528,21 +543,10 @@ def compress_batch(
                             rec.incr(ev.BATCH_SEEDED_SHARDS)
                     runnable.append(key)
                 if runnable:
-                    supervised = run_supervised(
-                        _encode_shard,
-                        runnable,
-                        _make_args,
-                        workers=workers,
-                        retry_policy=retry_policy,
-                        shard_timeout=shard_timeout,
-                        on_failure=on_failure,
-                        validate=_validate,
-                        recorder=rec,
-                        on_result=_on_result,
-                    )
-                    for key in runnable:
-                        results[key] = supervised[key]
+                    results.update(supervisor.run(runnable))
     finally:
+        # Reaps every pool worker, whether the job returned or raised.
+        supervisor.close()
         if journal is not None:
             journal.close()
 

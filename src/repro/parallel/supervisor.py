@@ -1,11 +1,20 @@
 """Supervised execution of batch shard jobs.
 
-:func:`run_supervised` is the fault-tolerant layer between
+:class:`Supervisor` is the fault-tolerant layer between
 :func:`~repro.parallel.engine.compress_batch` and the worker pool.  The
 engine's single ``pool.map`` call had one failure mode: any worker
 crash, hang or exception aborted the whole batch.  The supervisor
 instead drives per-shard futures and recovers from every *loud*
-process-level failure:
+process-level failure.
+
+The pool lives as long as the supervisor, i.e. one batch job: each
+:meth:`Supervisor.run` call (one wave-seeding round) reuses the warm
+pool the previous round left, so a job pays ``spawn`` start-up once,
+not once per round.  A pool lost in round *r* (crash, watchdog kill) is
+respawned by the next pooled wave — a retry in round *r*, or round
+*r + 1*.  :meth:`Supervisor.close` shuts the pool down and reaps its
+workers; :func:`run_supervised` is the one-run form (the service's
+inline use).  Recovery covers:
 
 * **retries** — a failed attempt is re-submitted under a
   :class:`RetryPolicy` (bounded attempts, deterministic exponential
@@ -15,7 +24,9 @@ process-level failure:
 * **timeouts** — each attempt runs under a per-shard timeout enforced
   *inside* the worker with ``SIGALRM`` (precise, no pool teardown) plus
   a parent-side watchdog over the whole submission wave that catches
-  alarm-proof hangs by terminating and respawning the pool;
+  alarm-proof hangs by terminating and respawning the pool (its budget,
+  ``ceil(wave / pool size)`` shard timeouts plus grace, uses the pool
+  size fixed when the supervisor was built);
 * **crashes** — a dead worker (``BrokenProcessPool``: SIGKILL, OOM,
   segfault) poisons every in-flight future; the supervisor respawns the
   pool and charges one attempt to each in-flight shard (the culprit is
@@ -62,6 +73,8 @@ from ..reliability.errors import ConfigError, ShardError
 __all__ = [
     "RetryPolicy",
     "ON_FAILURE_POLICIES",
+    "Supervisor",
+    "check_supervision",
     "run_supervised",
 ]
 
@@ -160,13 +173,18 @@ def _call_with_timeout(fn: Callable[[Any], Any], args: Any, timeout: Optional[fl
 
 
 def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-    """Hard-stop a pool whose workers may be hung: kill, then discard."""
-    for process in list(getattr(pool, "_processes", {}).values()):
+    """Hard-stop a pool whose workers may be hung: kill, then reap.
+
+    SIGKILL cannot be caught, so the pool breaks at once and the
+    blocking shutdown returns promptly, with every worker reaped: none
+    outlives this call.
+    """
+    for process in list((getattr(pool, "_processes", None) or {}).values()):
         try:
-            process.terminate()
+            process.kill()
         except Exception:  # already dead / reaped
             pass
-    pool.shutdown(wait=False, cancel_futures=True)
+    pool.shutdown(wait=True, cancel_futures=True)
 
 
 @dataclass
@@ -180,37 +198,77 @@ class _Attempt:
     cause: Optional[BaseException] = None
 
 
-class _Supervisor:
-    """One supervised run over a fixed set of shard jobs."""
+def check_supervision(on_failure: str, shard_timeout: Optional[float]) -> None:
+    """Raise :class:`ConfigError` for an unknown policy or a bad timeout."""
+    if on_failure not in ON_FAILURE_POLICIES:
+        raise ConfigError(
+            f"on_failure must be one of {', '.join(ON_FAILURE_POLICIES)}",
+            field="on_failure",
+            value=on_failure,
+        )
+    if shard_timeout is not None and shard_timeout <= 0:
+        raise ConfigError(
+            "shard_timeout must be positive",
+            field="shard_timeout",
+            value=shard_timeout,
+        )
+
+
+class Supervisor:
+    """Supervised runs of shard jobs that share one worker pool.
+
+    Each :meth:`run` call drives one set of keys to completion; the
+    pool is spawned lazily by the first pooled run and kept warm for
+    the next, so a job of several rounds pays pool start-up once.  A
+    pool that dies or is torn down in one run is respawned by the next
+    pooled wave.  :meth:`close` (or leaving the ``with`` block) shuts
+    the pool down and reaps its workers.
+
+    ``workers`` is the pool size for the supervisor's whole lifetime —
+    the caller caps it by the job's shard count.  ``<= 1`` runs every
+    wave inline.  The other parameters are those of
+    :func:`run_supervised`.
+    """
 
     def __init__(
         self,
         worker: Callable[[Any], Any],
         make_args: Callable[[Key, int], Any],
-        keys: Sequence[Key],
-        workers: int,
-        retry_policy: RetryPolicy,
-        shard_timeout: Optional[float],
-        on_failure: str,
-        validate: Optional[Callable[[Key, Any], Optional[str]]],
-        recorder: Recorder,
-        sleep: Callable[[float], None],
-        on_result: Optional[Callable[[Key, Any], None]],
+        workers: int = 1,
+        retry_policy: Optional[RetryPolicy] = None,
+        shard_timeout: Optional[float] = None,
+        on_failure: str = "fail",
+        validate: Optional[Callable[[Key, Any], Optional[str]]] = None,
+        recorder: Optional[Recorder] = None,
+        sleep: Callable[[float], None] = time.sleep,
+        on_result: Optional[Callable[[Key, Any], None]] = None,
     ) -> None:
+        check_supervision(on_failure, shard_timeout)
         self.worker = worker
         self.make_args = make_args
-        self.keys = list(keys)
-        self.workers = workers
-        self.policy = retry_policy
+        self.pool_size = workers
+        self.policy = retry_policy or RetryPolicy()
         self.timeout = shard_timeout
         self.on_failure = on_failure
         self.validate = validate
-        self.rec = recorder
+        self.rec = recorder if recorder is not None else NULL_RECORDER
         self.sleep = sleep
         self.on_result = on_result
-        self.attempts: Dict[Key, int] = {key: 0 for key in self.keys}
+        self.attempts: Dict[Key, int] = {}
         self.results: Dict[Key, Any] = {}
         self.pool: Optional[ProcessPoolExecutor] = None
+
+    def __enter__(self) -> "Supervisor":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Shut the pool down and wait for its workers to exit."""
+        if self.pool is not None:
+            self.pool.shutdown(wait=True)
+            self.pool = None
 
     # -- attempt classification ----------------------------------------
 
@@ -254,33 +312,42 @@ class _Supervisor:
         return outcomes
 
     def _run_wave_pooled(self, wave: List[Key]) -> List[_Attempt]:
-        pool_size = min(self.workers, len(wave))
         if self.pool is None:
             # spawn matches the engine's pinned start method (see
             # engine docstring) and survives respawn after a crash.
             self.pool = ProcessPoolExecutor(
-                max_workers=pool_size, mp_context=get_context("spawn")
+                max_workers=self.pool_size, mp_context=get_context("spawn")
             )
-        futures = {
-            self.pool.submit(
-                _call_with_timeout,
-                self.worker,
-                self.make_args(key, self.attempts[key]),
-                self.timeout,
-            ): key
-            for key in wave
-        }
+        futures = {}
+        outcomes = []
+        for index, key in enumerate(wave):
+            try:
+                future = self.pool.submit(
+                    _call_with_timeout,
+                    self.worker,
+                    self.make_args(key, self.attempts[key]),
+                    self.timeout,
+                )
+            except BrokenProcessPool as exc:
+                # A warm pool's idle worker can pick up a shard and die
+                # before the rest of the wave is submitted: the rest
+                # share the in-flight shards' crash.
+                outcomes.extend(
+                    _Attempt(rest, kind="crash", cause=exc) for rest in wave[index:]
+                )
+                break
+            futures[future] = key
+        pool_broken = bool(outcomes)
         budget = None
         if self.timeout:
             # Worst-case wall clock for the wave if every queued shard
             # burns its full in-worker budget, plus grace; beyond that
             # the hang is alarm-proof and the pool must die.
             budget = (
-                self.timeout * math.ceil(len(wave) / pool_size) + _WATCHDOG_GRACE
+                self.timeout * math.ceil(len(wave) / self.pool_size)
+                + _WATCHDOG_GRACE
             )
         done, not_done = wait(set(futures), timeout=budget)
-        outcomes = []
-        pool_broken = False
         for future in done:
             key = futures[future]
             exc = future.exception()
@@ -359,37 +426,34 @@ class _Supervisor:
 
     # -- main loop -----------------------------------------------------
 
-    def run(self) -> Dict[Key, Any]:
-        outstanding = list(self.keys)
-        pooled = self.workers > 1 and len(self.keys) > 1
-        try:
-            while outstanding:
-                wave = outstanding
-                outstanding = []
-                if pooled:
-                    outcomes = self._run_wave_pooled(wave)
+    def run(self, keys: Sequence[Key]) -> Dict[Key, Any]:
+        """Run one job per key; the pool stays up for the next call."""
+        outstanding = list(keys)
+        self.attempts = {key: 0 for key in outstanding}
+        self.results = {}
+        while outstanding:
+            wave = outstanding
+            outstanding = []
+            if self.pool_size > 1:
+                outcomes = self._run_wave_pooled(wave)
+            else:
+                outcomes = self._run_wave_inline(wave)
+            delays = []
+            for attempt in outcomes:
+                key = attempt.key
+                self.attempts[key] += 1
+                if attempt.ok:
+                    self._accept(key, attempt.result)
+                elif self.attempts[key] < self.policy.max_attempts:
+                    if self.rec.enabled:
+                        self.rec.incr(ev.BATCH_RETRIES)
+                    delays.append(self.policy.delay(key, self.attempts[key]))
+                    outstanding.append(key)
                 else:
-                    outcomes = self._run_wave_inline(wave)
-                delays = []
-                for attempt in outcomes:
-                    key = attempt.key
-                    self.attempts[key] += 1
-                    if attempt.ok:
-                        self._accept(key, attempt.result)
-                    elif self.attempts[key] < self.policy.max_attempts:
-                        if self.rec.enabled:
-                            self.rec.incr(ev.BATCH_RETRIES)
-                        delays.append(self.policy.delay(key, self.attempts[key]))
-                        outstanding.append(key)
-                    else:
-                        self._handle_exhausted(attempt)
-                if delays and outstanding:
-                    with self.rec.span("retry"):
-                        self.sleep(max(delays))
-        finally:
-            if self.pool is not None:
-                self.pool.shutdown(wait=True)
-                self.pool = None
+                    self._handle_exhausted(attempt)
+            if delays and outstanding:
+                with self.rec.span("retry"):
+                    self.sleep(max(delays))
         return self.results
 
 
@@ -406,7 +470,9 @@ def run_supervised(
     sleep: Callable[[float], None] = time.sleep,
     on_result: Optional[Callable[[Key, Any], None]] = None,
 ) -> Dict[Key, Any]:
-    """Run one job per key through the supervised pool.
+    """Run one job per key through a :class:`Supervisor` of its own.
+
+    The one-run form: the pool (if any) lives for this call only.
 
     Parameters
     ----------
@@ -441,29 +507,17 @@ def run_supervised(
     Returns a dict mapping every key to its result — or to a
     :class:`ShardError` under ``on_failure="skip"``.
     """
-    if on_failure not in ON_FAILURE_POLICIES:
-        raise ConfigError(
-            f"on_failure must be one of {', '.join(ON_FAILURE_POLICIES)}",
-            field="on_failure",
-            value=on_failure,
-        )
-    if shard_timeout is not None and shard_timeout <= 0:
-        raise ConfigError(
-            "shard_timeout must be positive",
-            field="shard_timeout",
-            value=shard_timeout,
-        )
-    supervisor = _Supervisor(
-        worker=worker,
-        make_args=make_args,
-        keys=keys,
-        workers=workers,
-        retry_policy=retry_policy or RetryPolicy(),
+    keys = list(keys)
+    with Supervisor(
+        worker,
+        make_args,
+        workers=min(workers, len(keys)),
+        retry_policy=retry_policy,
         shard_timeout=shard_timeout,
         on_failure=on_failure,
         validate=validate,
-        recorder=recorder if recorder is not None else NULL_RECORDER,
+        recorder=recorder,
         sleep=sleep,
         on_result=on_result,
-    )
-    return supervisor.run()
+    ) as supervisor:
+        return supervisor.run(keys)

@@ -253,13 +253,15 @@ def run_process_trial(
     rate: float = 0.6,
     shard_timeout: Optional[float] = None,
     retry_policy=None,
+    seed_plan=None,
 ) -> ProcessTrial:
     """Run one chaos-injected batch and classify it.
 
-    ``reference`` is the unfaulted run's container list — the oracle a
-    surviving batch must match byte for byte.  A ``kill`` fault needs a
-    real pool (``workers >= 2``) and is bumped there automatically; all
-    other faults honour ``workers`` as given.
+    ``reference`` is the unfaulted run's container list under the same
+    ``seed_plan`` — the oracle a surviving batch must match byte for
+    byte.  A ``kill`` fault needs a real pool (``workers >= 2``) and is
+    bumped there automatically; all other faults honour ``workers`` as
+    given.
     """
     from ..parallel import compress_batch
     from .chaos import ChaosPlan
@@ -279,6 +281,7 @@ def run_process_trial(
             shard_timeout=shard_timeout,
             retry_policy=retry_policy,
             chaos=plan,
+            seed_plan=seed_plan,
         )
     except ReproError as exc:
         return ProcessTrial(
@@ -325,10 +328,12 @@ def run_process_campaign(
     rate: float = 0.6,
     shard_timeout: Optional[float] = None,
     retry_policy=None,
+    seed_plan=None,
 ) -> ProcessCampaignResult:
     """Run the full process-fault × seed grid against one batch.
 
-    The unfaulted ``workers=1`` run is computed once as the byte oracle;
+    The unfaulted ``workers=1`` run under the same ``seed_plan`` (cold
+    when ``None``) is computed once as the byte oracle;
     every chaos trial must end byte-identical to it or fail loudly with
     a typed error — the process-level zero-silent-corruption guarantee.
     """
@@ -341,6 +346,7 @@ def run_process_campaign(
         for item in compress_batch(
             config, streams, workers=1,
             shard_bits=shard_bits, pattern_bits=pattern_bits,
+            seed_plan=seed_plan,
         )
     ]
     trials = [
@@ -357,6 +363,7 @@ def run_process_campaign(
             rate=rate,
             shard_timeout=shard_timeout,
             retry_policy=retry_policy,
+            seed_plan=seed_plan,
         )
         for fault in names
         for seed in tuple(seeds)

@@ -46,3 +46,19 @@ def sparse_stream(rng):
 def dense_stream(rng):
     """A fully specified 600-bit stream."""
     return TernaryVector.random(600, x_density=0.0, rng=rng)
+
+
+@pytest.fixture
+def pools_built(monkeypatch):
+    """The ``max_workers`` of every pool the batch supervisor builds."""
+    from repro.parallel import supervisor
+
+    built = []
+
+    class CountingPool(supervisor.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(supervisor, "ProcessPoolExecutor", CountingPool)
+    return built

@@ -1,15 +1,22 @@
-"""Unit tests of the fault-tolerant supervisor (inline execution paths).
+"""Unit tests of the fault-tolerant supervisor.
 
-The pooled paths (real spawn workers, SIGKILL, watchdog) are exercised
-end-to-end in ``tests/reliability/test_chaos.py``; here the supervisor's
-retry / policy / validation logic is pinned down with plain in-process
-worker functions and an injected sleep.
+The pooled fault paths (real spawn workers, SIGKILL, watchdog) are
+exercised end-to-end in ``tests/reliability/test_chaos.py``; here the
+supervisor's retry / policy / validation logic is pinned down with plain
+in-process worker functions and an injected sleep, and
+:class:`TestSharedPool` checks the pool's lifetime: one pool per batch
+job, sized once, with no worker left behind.
 """
 
+import multiprocessing
+import random
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro.bitstream import TernaryVector
+from repro.core import LZWConfig
 from repro.observability import (
     CompositeRecorder,
     CounterRecorder,
@@ -17,8 +24,16 @@ from repro.observability import (
     metrics_snapshot,
 )
 from repro.observability import schema as ev
-from repro.parallel import ON_FAILURE_POLICIES, RetryPolicy, run_supervised
+from repro.parallel import (
+    ON_FAILURE_POLICIES,
+    RetryPolicy,
+    compress_batch,
+    run_supervised,
+)
+from repro.parallel import supervisor as supervisor_module
+from repro.parallel.supervisor import Supervisor
 from repro.reliability import ConfigError, ShardError
+from repro.reliability.chaos import ChaosPlan
 
 KEYS = [(0, 0), (0, 1), (1, 0)]
 
@@ -362,3 +377,151 @@ class TestTimeoutDegradation:
 
         with pytest.raises(_WorkerTimeout):
             _call_with_timeout(hang, None, timeout=0.2)
+
+
+# -- one pool per batch job ---------------------------------------------
+
+WAVE_CONFIG = LZWConfig(char_bits=4, dict_size=64, entry_bits=20)
+
+#: 500 and 350 bits at 150 bits a shard: 4 and 3 shards, so a wave job
+#: runs four rounds.
+WAVE_SHARD_BITS = 150
+
+
+@pytest.fixture(scope="module")
+def wave_streams():
+    rng = random.Random(20030306)
+    return [
+        TernaryVector.random(500, x_density=0.7, rng=rng),
+        TernaryVector.random(350, x_density=0.4, rng=rng),
+    ]
+
+
+@pytest.fixture(scope="module")
+def wave_reference(wave_streams):
+    """The inline wave run: the bytes every pooled wave job must match."""
+    items = compress_batch(
+        WAVE_CONFIG, wave_streams, workers=1,
+        shard_bits=WAVE_SHARD_BITS, seed_plan="wave",
+    )
+    assert [item.num_shards for item in items] == [4, 3]
+    return [item.container for item in items]
+
+
+def wave_batch(streams, **kwargs):
+    return compress_batch(
+        WAVE_CONFIG, streams, shard_bits=WAVE_SHARD_BITS, seed_plan="wave",
+        **kwargs,
+    )
+
+
+def exception_plan(hit):
+    """A persistent exception plan whose first-round targeting is ``hit``."""
+    for seed in range(64):
+        plan = ChaosPlan("exception", seed=seed, rate=0.5, attempts=99)
+        if [plan.targets(w, 0) for w in range(2)] == hit and (
+            any(plan.targets(w, s) for w in range(2) for s in range(1, 4))
+        ):
+            return plan
+    raise AssertionError(f"no seed with first-round targeting {hit} in 64 tries")
+
+
+class TestSharedPool:
+    def test_wave_job_builds_one_pool_and_leaves_no_children(
+        self, pools_built, wave_streams, wave_reference
+    ):
+        items = wave_batch(wave_streams, workers=2)
+        assert pools_built == [2]
+        assert [item.container for item in items] == wave_reference
+        assert multiprocessing.active_children() == []
+
+    def test_shard_error_mid_wave_leaves_no_children(
+        self, pools_built, wave_streams
+    ):
+        # Round 0 runs clean in the pool; a later round fails for good.
+        with pytest.raises(ShardError) as excinfo:
+            wave_batch(
+                wave_streams,
+                workers=2,
+                chaos=exception_plan([False, False]),
+                retry_policy=RetryPolicy(max_attempts=1, backoff_base=0.0),
+                on_failure="fail",
+            )
+        assert excinfo.value.diagnostics["shard"] >= 1
+        assert pools_built == [2]
+        assert multiprocessing.active_children() == []
+
+    def test_resumed_job_sizes_the_pool_by_its_widest_round(
+        self, tmp_path, pools_built, wave_streams, wave_reference
+    ):
+        # Abort after shard (0, 0) is journaled, so the resumed job's
+        # first round holds one shard and every later round two.
+        path = tmp_path / "ck.jsonl"
+        with pytest.raises(ShardError):
+            wave_batch(
+                wave_streams,
+                workers=1,
+                chaos=exception_plan([False, True]),
+                retry_policy=RetryPolicy(max_attempts=1, backoff_base=0.0),
+                checkpoint=path,
+            )
+        items = wave_batch(wave_streams, workers=2, checkpoint=path, resume=True)
+        assert pools_built == [2]
+        assert [item.container for item in items] == wave_reference
+        assert multiprocessing.active_children() == []
+
+    def test_watchdog_budget_uses_the_pool_size(self, monkeypatch, pools_built):
+        budgets = []
+        real_wait = supervisor_module.wait
+
+        def recording_wait(futures, timeout=None):
+            budgets.append(timeout)
+            return real_wait(futures, timeout=timeout)
+
+        monkeypatch.setattr(supervisor_module, "wait", recording_wait)
+        # ``str`` is a picklable stand-in worker: it returns its args.
+        with Supervisor(str, make_args, workers=2, shard_timeout=1.0) as sup:
+            assert sup.run(KEYS[:1]) == {KEYS[0]: str((KEYS[0], 0))}
+            assert set(sup.run(KEYS)) == set(KEYS)
+        assert pools_built == [2]
+        grace = supervisor_module._WATCHDOG_GRACE
+        # One shard on a 2-worker pool is one slot deep; three are two.
+        assert budgets == [1.0 + grace, 2.0 + grace]
+        assert multiprocessing.active_children() == []
+
+    def test_pool_broken_mid_submission_is_one_crash(self, monkeypatch):
+        # A warm pool's idle worker can take the first shard of a wave
+        # and die before the second is submitted; ``submit`` then raises.
+        built = []
+
+        class BreaksOnSecondSubmit(supervisor_module.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+                self.submits = 0
+
+            def submit(self, *args, **kwargs):
+                self.submits += 1
+                if len(built) == 1 and self.submits == 2:
+                    raise BrokenProcessPool("worker died mid-submission")
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(
+            supervisor_module, "ProcessPoolExecutor", BreaksOnSecondSubmit
+        )
+        rec = recording_sink()
+        with Supervisor(
+            str, make_args, workers=2, retry_policy=NO_BACKOFF,
+            recorder=rec, sleep=no_sleep,
+        ) as sup:
+            results = sup.run(KEYS)
+        # The submitted shard finished; the two unsubmitted ones were
+        # charged the crash and retried on a respawned pool.
+        assert results == {
+            KEYS[0]: str((KEYS[0], 0)),
+            KEYS[1]: str((KEYS[1], 1)),
+            KEYS[2]: str((KEYS[2], 1)),
+        }
+        assert len(built) == 2
+        assert counters(rec)[ev.BATCH_WORKER_CRASHES] == 1
+        assert multiprocessing.active_children() == []

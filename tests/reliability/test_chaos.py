@@ -9,6 +9,7 @@ bytes.  Faults are deterministic functions of ``(fault, seed)`` so any
 failure here reproduces exactly.
 """
 
+import multiprocessing
 import random
 
 import pytest
@@ -22,7 +23,7 @@ from repro.observability import (
     metrics_snapshot,
 )
 from repro.observability import schema as ev
-from repro.parallel import RetryPolicy, compress_batch
+from repro.parallel import RetryPolicy, compress_batch, supervisor
 from repro.reliability import ShardError
 from repro.reliability.campaign import (
     TrialOutcome,
@@ -53,6 +54,16 @@ def reference(streams):
         item.container
         for item in compress_batch(CONFIG, streams, workers=1, shard_bits=150)
     ]
+
+
+@pytest.fixture(scope="module")
+def wave_reference(streams):
+    """The unfaulted inline wave run: four rounds (4 and 3 shards)."""
+    items = compress_batch(
+        CONFIG, streams, workers=1, shard_bits=150, seed_plan="wave"
+    )
+    assert [item.num_shards for item in items] == [4, 3]
+    return [item.container for item in items]
 
 
 def counters(rec):
@@ -256,6 +267,92 @@ class TestPooledFaultRecovery:
         assert counters(rec)[ev.BATCH_TIMEOUTS] > 0
 
 
+class TestFaultsAcrossWaveRounds:
+    """Wave rounds share one pool, so a fault in round r hits a pool
+    that round r+1 reuses (or respawns)."""
+
+    def test_every_round_kills_its_pool_once(
+        self, pools_built, streams, wave_reference
+    ):
+        rec = CompositeRecorder([CounterRecorder(), SpanRecorder()])
+        items = compress_batch(
+            CONFIG,
+            streams,
+            workers=2,
+            shard_bits=150,
+            seed_plan="wave",
+            chaos=ChaosPlan("kill", seed=5, rate=1.0),
+            retry_policy=FAST_RETRIES,
+            recorder=rec,
+        )
+        assert [item.container for item in items] == wave_reference
+        assert counters(rec)[ev.BATCH_WORKER_CRASHES] == 4
+        # The first pool, then one respawn per crash; each respawned
+        # pool carries on into the next round.
+        assert pools_built == [2] * 5
+
+    def test_pooled_hang_healed_in_every_round(self, streams, wave_reference):
+        rec = CompositeRecorder([CounterRecorder(), SpanRecorder()])
+        items = compress_batch(
+            CONFIG,
+            streams,
+            workers=2,
+            shard_bits=150,
+            seed_plan="wave",
+            chaos=ChaosPlan("hang", seed=6, rate=1.0, hang_seconds=30.0),
+            retry_policy=FAST_RETRIES,
+            shard_timeout=0.5,
+            recorder=rec,
+        )
+        assert [item.container for item in items] == wave_reference
+        # Each of the 7 shards hangs once; the in-worker alarm heals it
+        # without costing the shared pool.
+        assert counters(rec)[ev.BATCH_TIMEOUTS] == 7
+        assert counters(rec).get(ev.BATCH_WORKER_CRASHES, 0) == 0
+
+    def test_watchdog_kill_in_one_round_respawns_for_the_next(
+        self, monkeypatch, pools_built, streams
+    ):
+        # Two rounds; only round 0's shards hang.  A negative grace puts
+        # the parent watchdog (3 s) ahead of the in-worker alarm (10 s),
+        # which is how an alarm-proof hang looks from the parent.
+        plan = None
+        for seed in range(256):
+            candidate = ChaosPlan("hang", seed=seed, rate=0.5, hang_seconds=30.0)
+            if [candidate.targets(w, s) for s in range(2) for w in range(2)] == [
+                True, True, False, False
+            ]:
+                plan = candidate
+                break
+        assert plan is not None, "no seed with the needed targeting"
+        reference = [
+            item.container
+            for item in compress_batch(
+                CONFIG, streams, workers=1, shard_bits=250, seed_plan="wave"
+            )
+        ]
+        monkeypatch.setattr(supervisor, "_WATCHDOG_GRACE", -7.0)
+        rec = CompositeRecorder([CounterRecorder(), SpanRecorder()])
+        items = compress_batch(
+            CONFIG,
+            streams,
+            workers=2,
+            shard_bits=250,
+            seed_plan="wave",
+            chaos=plan,
+            retry_policy=FAST_RETRIES,
+            shard_timeout=10.0,
+            recorder=rec,
+        )
+        assert [item.num_shards for item in items] == [2, 2]
+        assert [item.container for item in items] == reference
+        assert counters(rec)[ev.BATCH_TIMEOUTS] == 2
+        # The watchdog killed the first pool; its replacement ran round
+        # 0's retries and then all of round 1.
+        assert pools_built == [2, 2]
+        assert multiprocessing.active_children() == []
+
+
 class TestCheckpointUnderFaults:
     def test_aborted_batch_resumes_to_identical_bytes(
         self, tmp_path, streams, reference
@@ -335,6 +432,20 @@ class TestProcessCampaign:
             seeds=range(3),
             shard_bits=150,
             retry_policy=FAST_RETRIES,
+        )
+        assert result.ok, result.summary()
+        assert all(t.outcome is TrialOutcome.CORRECT for t in result.trials)
+
+    def test_wave_campaign_heals_against_the_wave_oracle(self, streams):
+        result = run_process_campaign(
+            CONFIG,
+            streams,
+            faults=("exception", "kill"),
+            seeds=range(2),
+            workers=2,
+            shard_bits=150,
+            retry_policy=FAST_RETRIES,
+            seed_plan="wave",
         )
         assert result.ok, result.summary()
         assert all(t.outcome is TrialOutcome.CORRECT for t in result.trials)
