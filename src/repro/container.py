@@ -93,6 +93,22 @@ cross-segment link code being the previous segment's last code.  A
 container whose segments are all cold is written in the v2/v3 formats
 bit-for-bit, so cold plans never see the v4 framing.
 
+**One model under every layout.**  Whatever the version, a container
+holds the same thing: the configuration, a CRC-covered header span and
+its stored CRC, ordered segments (offset, original bits, payload bits,
+code count, payload CRC, optional stream digest, seed mode, blob index)
+and, for v4, the seed blobs.  A per-version layout table (:data:`_LAYOUTS`)
+maps bytes onto that model — v1 is one cold segment with no digest and
+no header CRC, v2 one cold segment, v3 all-cold segments without
+blobs, v4 the full layout — and one parse reads any of them.  Every
+consumer (the loaders here, :func:`~repro.reliability.verify.
+verify_container`, :func:`~repro.reliability.salvage.salvage_container`)
+is then a walk over the parsed segments: resolve the seed, check the
+payload, unpack the codes, decode under the seed, check the digest
+(:func:`_walk`).  One packer writes all three current layouts and picks
+the smallest that holds the segments: one cold segment is v2, all cold
+is v3, anything warm is v4.
+
 The three checksums split the failure modes cleanly:
 
 * the **header CRC** catches any flipped header field (the payload CRC
@@ -110,8 +126,9 @@ from __future__ import annotations
 
 import struct
 import zlib
+from contextlib import nullcontext
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .bitstream import BitReader, BitWriter, TernaryVector
 from .core import (
@@ -120,11 +137,19 @@ from .core import (
     LZWConfig,
     decode,
     derive_final_snapshot,
+    iter_decode,
 )
+from .core.decoder import _chars_to_stream
 from .observability import NULL_RECORDER, Recorder
 from .observability import schema as ev
 from .reliability.atomic import atomic_write_bytes
-from .reliability.errors import ConfigError, ContainerError, DecodeError, SnapshotError
+from .reliability.errors import (
+    ConfigError,
+    ContainerError,
+    DecodeError,
+    ReproError,
+    SnapshotError,
+)
 
 __all__ = [
     "ContainerError",
@@ -149,43 +174,7 @@ __all__ = [
 ]
 
 _MAGIC = b"LZWT"
-_VERSION = 2
-_VERSION_MULTI = 3
-_VERSION_SEEDED = 4
 _VERSION_STREAM = 5
-_HEADER_V1 = struct.Struct(">4sBBIIQQI")
-_HEADER_V2 = struct.Struct(">4sBBIIQQIII")
-_HEADER_V3 = struct.Struct(">4sBBIIII")
-_HEADER_V4 = struct.Struct(">4sBBIIIBHI")
-_SEGMENT_ENTRY = struct.Struct(">QQQIII")
-_SEGMENT_ENTRY_V4 = struct.Struct(">QQQIIIBHB")
-_BLOB_ENTRY = struct.Struct(">QII")
-
-# Field offsets of the v2 header (used by the fault injectors to build
-# checksum-consistent corruptions).
-PAYLOAD_CRC_OFFSET = 30
-STREAM_CRC_OFFSET = 34
-HEADER_CRC_OFFSET = 38
-HEADER_SIZE = _HEADER_V2.size
-
-# v3 (multi-segment) layout constants, likewise exported for the
-# injectors and the staged verifier.
-V3_SEGMENT_COUNT_OFFSET = 14
-V3_HEADER_CRC_OFFSET = 18
-V3_SEGMENT_TABLE_OFFSET = _HEADER_V3.size
-SEGMENT_ENTRY_SIZE = _SEGMENT_ENTRY.size
-
-# v4 (seeded multi-segment) layout constants.
-V4_SEGMENT_COUNT_OFFSET = 14
-V4_FLAGS_OFFSET = 18
-V4_BLOB_COUNT_OFFSET = 19
-V4_HEADER_CRC_OFFSET = 21
-V4_SEGMENT_TABLE_OFFSET = _HEADER_V4.size
-SEGMENT_ENTRY_V4_SIZE = _SEGMENT_ENTRY_V4.size
-BLOB_ENTRY_SIZE = _BLOB_ENTRY.size
-SEED_MODE_ENTRY_OFFSET = 36
-BLOB_INDEX_ENTRY_OFFSET = 37
-
 _FLAG_RESET_ON_FULL = 0x01
 _NO_BLOB = 0xFFFF
 
@@ -194,6 +183,121 @@ SEED_COLD = 0
 SEED_BLOB = 1
 SEED_CHAIN = 2
 SEED_MODE_NAMES = {SEED_COLD: "cold", SEED_BLOB: "blob", SEED_CHAIN: "chain"}
+
+
+# ----------------------------------------------------------------------
+# Layout tables
+# ----------------------------------------------------------------------
+
+
+class _Record:
+    """A fixed-width big-endian record with named fields.
+
+    The single description of a header or table entry: :meth:`unpack`
+    and :meth:`pack` map bytes to and from field values, and
+    :attr:`offset` gives each field's byte offset within the record.
+    """
+
+    def __init__(self, *fields: Tuple[str, str]) -> None:
+        self.names = tuple(name for name, _ in fields)
+        self.struct = struct.Struct(">" + "".join(code for _, code in fields))
+        self.size = self.struct.size
+        self.offset: Dict[str, int] = {}
+        position = 0
+        for name, code in fields:
+            self.offset[name] = position
+            position += struct.calcsize(">" + code)
+
+    def unpack(self, data: bytes) -> Dict[str, int]:
+        return dict(zip(self.names, self.struct.unpack_from(data)))
+
+    def pack(self, **values) -> bytes:
+        """Pack ``values`` by field name; absent fields are zero."""
+        return self.struct.pack(*(values.get(name, 0) for name in self.names))
+
+
+class _Layout(NamedTuple):
+    """How one format version lays the container model out in bytes.
+
+    ``entry`` is ``None`` for the single-segment layouts (v1/v2): their
+    header describes the one segment and its payload CRC covers every
+    byte after the header.  ``blob_entry`` is ``None`` for layouts
+    without seed blobs.  A ``header_crc`` field, where present, is the
+    last header field and covers the header bytes before it plus the
+    segment and blob tables.
+    """
+
+    header: _Record
+    entry: Optional[_Record] = None
+    blob_entry: Optional[_Record] = None
+
+
+_CONFIG_FIELDS = (
+    ("magic", "4s"),
+    ("version", "B"),
+    ("char_bits", "B"),
+    ("dict_size", "I"),
+    ("entry_bits", "I"),
+)
+_V1_FIELDS = (("original_bits", "Q"), ("payload_bits", "Q"), ("payload_crc", "I"))
+_ENTRY_FIELDS = (
+    ("offset", "Q"),
+    ("original_bits", "Q"),
+    ("payload_bits", "Q"),
+    ("num_codes", "I"),
+    ("payload_crc", "I"),
+    ("stream_crc", "I"),
+)
+
+_LAYOUTS: Dict[int, _Layout] = {
+    1: _Layout(_Record(*_CONFIG_FIELDS, *_V1_FIELDS)),
+    2: _Layout(
+        _Record(*_CONFIG_FIELDS, *_V1_FIELDS, ("stream_crc", "I"), ("header_crc", "I"))
+    ),
+    3: _Layout(
+        _Record(*_CONFIG_FIELDS, ("segment_count", "I"), ("header_crc", "I")),
+        _Record(*_ENTRY_FIELDS),
+    ),
+    4: _Layout(
+        _Record(
+            *_CONFIG_FIELDS,
+            ("segment_count", "I"),
+            ("flags", "B"),
+            ("blob_count", "H"),
+            ("header_crc", "I"),
+        ),
+        _Record(
+            *_ENTRY_FIELDS, ("seed_mode", "B"), ("blob_index", "H"), ("reserved", "B")
+        ),
+        _Record(("offset", "Q"), ("length", "I"), ("crc", "I")),
+    ),
+}
+_V2, _V3, _V4 = _LAYOUTS[2], _LAYOUTS[3], _LAYOUTS[4]
+
+# Field offsets, exported for the fault injectors (which build
+# checksum-consistent corruptions) — all read off the layout tables.
+PAYLOAD_CRC_OFFSET = _V2.header.offset["payload_crc"]
+STREAM_CRC_OFFSET = _V2.header.offset["stream_crc"]
+HEADER_CRC_OFFSET = _V2.header.offset["header_crc"]
+HEADER_SIZE = _V2.header.size
+V3_SEGMENT_COUNT_OFFSET = _V3.header.offset["segment_count"]
+V3_HEADER_CRC_OFFSET = _V3.header.offset["header_crc"]
+V3_SEGMENT_TABLE_OFFSET = _V3.header.size
+SEGMENT_ENTRY_SIZE = _V3.entry.size
+V4_SEGMENT_COUNT_OFFSET = _V4.header.offset["segment_count"]
+V4_FLAGS_OFFSET = _V4.header.offset["flags"]
+V4_BLOB_COUNT_OFFSET = _V4.header.offset["blob_count"]
+V4_HEADER_CRC_OFFSET = _V4.header.offset["header_crc"]
+V4_SEGMENT_TABLE_OFFSET = _V4.header.size
+SEGMENT_ENTRY_V4_SIZE = _V4.entry.size
+BLOB_ENTRY_SIZE = _V4.blob_entry.size
+SEED_MODE_ENTRY_OFFSET = _V4.entry.offset["seed_mode"]
+BLOB_INDEX_ENTRY_OFFSET = _V4.entry.offset["blob_index"]
+
+
+# ----------------------------------------------------------------------
+# The container model
+# ----------------------------------------------------------------------
 
 
 class SegmentSeed(NamedTuple):
@@ -225,6 +329,56 @@ class LoadedSegment(NamedTuple):
     seed_mode: int
 
 
+class SegmentInfo(NamedTuple):
+    """One segment of the container model, in table order.
+
+    A v1/v2 container holds exactly one, described by its header (at
+    offset 0, with the code count implied by the bit count); v3
+    segments are all cold.  ``stream_crc`` is ``None`` for v1, which
+    stores no digest.
+    """
+
+    offset: int
+    original_bits: int
+    payload_bits: int
+    num_codes: int
+    payload_crc: int
+    stream_crc: Optional[int]
+    seed_mode: int = SEED_COLD
+    blob_index: int = _NO_BLOB
+
+
+#: The v4-era name of :class:`SegmentInfo`, kept for existing imports.
+SeededSegmentInfo = SegmentInfo
+
+
+class BlobInfo(NamedTuple):
+    """One blob-table entry of a v4 container."""
+
+    offset: int
+    length: int
+    crc: int
+
+
+class _Container(NamedTuple):
+    """Container bytes of any v1–v4 layout, mapped onto the one model."""
+
+    version: int
+    layout: _Layout
+    config: LZWConfig
+    header_crc: Optional[int]
+    crc_span: bytes  #: the bytes the header CRC covers
+    segments: Tuple[SegmentInfo, ...]
+    blobs: Tuple[BlobInfo, ...]
+    blob_area: bytes
+    payload_area: bytes
+
+    @property
+    def single(self) -> bool:
+        """True for the single-segment layouts (v1/v2)."""
+        return self.layout.entry is None
+
+
 def stream_digest(stream: TernaryVector) -> int:
     """CRC32 digest of a fully specified decoded stream.
 
@@ -239,245 +393,6 @@ def stream_digest(stream: TernaryVector) -> int:
     return zlib.crc32(payload)
 
 
-class _Header(NamedTuple):
-    """Parsed container header plus the payload bytes that follow it."""
-
-    version: int
-    config: LZWConfig
-    original_bits: int
-    payload_bits: int
-    payload_crc: int
-    stream_crc: Optional[int]
-    header_crc: Optional[int]
-    header_size: int
-    payload: bytes
-
-
-def _parse_header(data: bytes) -> _Header:
-    """Parse and validate the fixed-size header (no checksum checks)."""
-    if len(data) < 5:
-        raise ContainerError("truncated container header", byte_offset=len(data))
-    if data[:4] != _MAGIC:
-        raise ContainerError(f"bad magic {data[:4]!r}", byte_offset=0, field="magic")
-    version = data[4]
-    if version == 1:
-        header_struct = _HEADER_V1
-    elif version == _VERSION:
-        header_struct = _HEADER_V2
-    elif version == _VERSION_MULTI:
-        raise ContainerError(
-            "multi-segment (v3) container; load it with load_segments()",
-            byte_offset=4,
-            field="version",
-        )
-    elif version == _VERSION_SEEDED:
-        raise ContainerError(
-            "seeded (v4) container; load it with load_seeded()",
-            byte_offset=4,
-            field="version",
-        )
-    elif version == _VERSION_STREAM:
-        raise ContainerError(
-            "streaming (v5) container; load it with repro.streamio",
-            byte_offset=4,
-            field="version",
-        )
-    else:
-        raise ContainerError(
-            f"unsupported container version {version}",
-            byte_offset=4,
-            field="version",
-        )
-    if len(data) < header_struct.size:
-        raise ContainerError(
-            "truncated container header",
-            byte_offset=len(data),
-            field="header",
-        )
-    fields = header_struct.unpack_from(data)
-    stream_crc: Optional[int] = None
-    header_crc: Optional[int] = None
-    if version == 1:
-        _, _, char_bits, dict_size, entry_bits, original_bits, payload_bits, crc = (
-            fields
-        )
-    else:
-        (
-            _,
-            _,
-            char_bits,
-            dict_size,
-            entry_bits,
-            original_bits,
-            payload_bits,
-            crc,
-            stream_crc,
-            header_crc,
-        ) = fields
-    try:
-        config = LZWConfig(
-            char_bits=char_bits, dict_size=dict_size, entry_bits=entry_bits
-        )
-    except ConfigError as exc:
-        raise ContainerError(
-            f"invalid configuration in header: {exc.message}",
-            field=getattr(exc, "field", None),
-        ) from None
-    return _Header(
-        version=version,
-        config=config,
-        original_bits=original_bits,
-        payload_bits=payload_bits,
-        payload_crc=crc,
-        stream_crc=stream_crc,
-        header_crc=header_crc,
-        header_size=header_struct.size,
-        payload=data[header_struct.size :],
-    )
-
-
-def dump_bytes(
-    compressed: CompressedStream,
-    stream: Optional[TernaryVector] = None,
-    recorder: Optional[Recorder] = None,
-) -> bytes:
-    """Serialise a compressed test set to container bytes.
-
-    ``stream`` may supply the already-decoded scan stream (e.g. a
-    :class:`~repro.core.pipeline.CompressionResult`'s
-    ``assigned_stream``) to avoid re-decoding when computing the stream
-    digest; when omitted the codes are decoded here.  ``recorder``
-    collects ``container.*`` counters and a ``pack`` span.
-    """
-    rec = recorder if recorder is not None else NULL_RECORDER
-    with rec.span("pack"):
-        writer = BitWriter()
-        width = compressed.config.code_bits
-        for code in compressed.codes:
-            writer.write(code, width)
-        payload = writer.to_bytes()
-        if stream is None:
-            stream = decode(compressed)
-        header_wo_crc = _HEADER_V2.pack(
-            _MAGIC,
-            _VERSION,
-            compressed.config.char_bits,
-            compressed.config.dict_size,
-            compressed.config.entry_bits,
-            compressed.original_bits,
-            writer.bit_length,
-            zlib.crc32(payload),
-            stream_digest(stream),
-            0,
-        )
-        header_crc = zlib.crc32(header_wo_crc[:HEADER_CRC_OFFSET])
-        header = header_wo_crc[:HEADER_CRC_OFFSET] + struct.pack(">I", header_crc)
-        data = header + payload
-    if rec.enabled:
-        rec.incr(ev.CONTAINER_BYTES_WRITTEN, len(data))
-        rec.incr(ev.CONTAINER_SEGMENTS_WRITTEN)
-    return data
-
-
-def _read_codes(payload: bytes, payload_bits: int, config: LZWConfig) -> Tuple[int, ...]:
-    reader = BitReader.from_bytes(payload, payload_bits)
-    codes = []
-    while not reader.exhausted:
-        codes.append(reader.read(config.code_bits))
-    return tuple(codes)
-
-
-def load_bytes(
-    data: bytes, verify: bool = True, recorder: Optional[Recorder] = None
-) -> CompressedStream:
-    """Parse container bytes back into a :class:`CompressedStream`.
-
-    With ``verify`` (the default) a version-2 container's decoded stream
-    is checked against the stored digest, which catches corruptions that
-    preserve both CRCs; pass ``verify=False`` to skip the extra decode
-    when the caller decodes (and therefore validates) the stream anyway.
-    """
-    rec = recorder if recorder is not None else NULL_RECORDER
-    if rec.enabled:
-        rec.incr(ev.CONTAINER_BYTES_READ, len(data))
-        rec.incr(ev.CONTAINER_SEGMENTS_READ)
-    header = _parse_header(data)
-    if header.header_crc is not None:
-        actual = zlib.crc32(data[:HEADER_CRC_OFFSET])
-        if actual != header.header_crc:
-            raise ContainerError(
-                "header CRC mismatch (corrupted header)",
-                byte_offset=HEADER_CRC_OFFSET,
-                expected=header.header_crc,
-                actual=actual,
-            )
-    payload = header.payload
-    actual_payload_crc = zlib.crc32(payload)
-    if actual_payload_crc != header.payload_crc:
-        raise ContainerError(
-            "payload CRC mismatch (corrupted container)",
-            byte_offset=PAYLOAD_CRC_OFFSET,
-            expected=header.payload_crc,
-            actual=actual_payload_crc,
-        )
-    config = header.config
-    if header.payload_bits > len(payload) * 8:
-        raise ContainerError(
-            "declared payload length exceeds data",
-            field="payload_bits",
-            expected=header.payload_bits,
-            actual=len(payload) * 8,
-        )
-    if header.payload_bits % config.code_bits:
-        raise ContainerError(
-            "payload is not a whole number of codes",
-            field="payload_bits",
-            expected=config.code_bits,
-            actual=header.payload_bits,
-        )
-    codes = _read_codes(payload, header.payload_bits, config)
-    try:
-        compressed = CompressedStream(codes, config, header.original_bits)
-    except ValueError as exc:
-        raise ContainerError(str(exc)) from None
-    if verify and header.stream_crc is not None:
-        actual_digest = stream_digest(decode(compressed))
-        if actual_digest != header.stream_crc:
-            raise ContainerError(
-                "decoded stream digest mismatch (tampered payload)",
-                byte_offset=STREAM_CRC_OFFSET,
-                expected=header.stream_crc,
-                actual=actual_digest,
-            )
-    return compressed
-
-
-# ----------------------------------------------------------------------
-# Multi-segment (v3) framing
-# ----------------------------------------------------------------------
-
-
-class SegmentInfo(NamedTuple):
-    """One parsed segment-table entry of a v3 container."""
-
-    offset: int
-    original_bits: int
-    payload_bits: int
-    num_codes: int
-    payload_crc: int
-    stream_crc: int
-
-
-class _MultiHeader(NamedTuple):
-    """Parsed v3 header: configuration, table and the payload area."""
-
-    config: LZWConfig
-    segments: Tuple[SegmentInfo, ...]
-    header_crc: int
-    table: bytes
-    payload_area: bytes
-
-
 def container_version(data: bytes) -> int:
     """Format version of container bytes (validates magic only)."""
     if len(data) < 5 or data[:4] != _MAGIC:
@@ -485,163 +400,557 @@ def container_version(data: bytes) -> int:
     return data[4]
 
 
-def _parse_multi(data: bytes) -> _MultiHeader:
-    """Parse a v3 header and segment table (no checksum checks)."""
-    if len(data) < _HEADER_V3.size:
+# ----------------------------------------------------------------------
+# One parse
+# ----------------------------------------------------------------------
+
+
+def _parse_header(data: bytes) -> Tuple[_Layout, Dict[str, int], LZWConfig]:
+    """Pick the layout and read the fixed header and its configuration.
+
+    Raises :class:`ContainerError` when the bytes are not a v1–v4
+    container at all: bad magic, an unknown (or v5) version, a short
+    header or an invalid configuration.
+    """
+    if len(data) < 5:
         raise ContainerError("truncated container header", byte_offset=len(data))
     if data[:4] != _MAGIC:
         raise ContainerError(f"bad magic {data[:4]!r}", byte_offset=0, field="magic")
-    if data[4] != _VERSION_MULTI:
+    version = data[4]
+    layout = _LAYOUTS.get(version)
+    if layout is None:
         raise ContainerError(
-            f"not a multi-segment container (version {data[4]})",
+            "streaming (v5) container; decode it with decode_container() "
+            "or repro.streamio"
+            if version == _VERSION_STREAM
+            else f"unsupported container version {version}",
             byte_offset=4,
             field="version",
         )
-    _, _, char_bits, dict_size, entry_bits, count, header_crc = _HEADER_V3.unpack_from(
-        data
-    )
-    if count < 1:
+    if len(data) < layout.header.size:
         raise ContainerError(
-            "segment count must be >= 1",
-            byte_offset=V3_SEGMENT_COUNT_OFFSET,
-            field="segment_count",
+            "truncated container header", byte_offset=len(data), field="header"
         )
+    fields = layout.header.unpack(data)
     try:
         config = LZWConfig(
-            char_bits=char_bits, dict_size=dict_size, entry_bits=entry_bits
+            char_bits=fields["char_bits"],
+            dict_size=fields["dict_size"],
+            entry_bits=fields["entry_bits"],
+            reset_on_full=bool(fields.get("flags", 0) & _FLAG_RESET_ON_FULL),
         )
     except ConfigError as exc:
         raise ContainerError(
             f"invalid configuration in header: {exc.message}",
             field=getattr(exc, "field", None),
         ) from None
-    table_end = V3_SEGMENT_TABLE_OFFSET + count * SEGMENT_ENTRY_SIZE
-    if len(data) < table_end:
+    return layout, fields, config
+
+
+def _parse_tables(
+    data: bytes, layout: _Layout, fields: Dict[str, int], config: LZWConfig
+) -> _Container:
+    """Map the rest of the bytes onto the model (no checksum checks).
+
+    Raises :class:`ContainerError` when the tables themselves are
+    unusable (unknown flags, no segments, tables cut short).  Entry
+    contents, area bounds and checksums are left to the walk, so every
+    consumer judges each segment on its own bytes.
+    """
+    header = layout.header
+    flags = fields.get("flags", 0)
+    if flags & ~_FLAG_RESET_ON_FULL:
         raise ContainerError(
-            f"truncated segment table ({count} segments declared)",
-            byte_offset=len(data),
-            field="segment_table",
+            f"unknown container flags 0x{flags:02x}",
+            byte_offset=header.offset["flags"],
+            field="flags",
         )
-    table = data[V3_SEGMENT_TABLE_OFFSET:table_end]
-    payload_area = data[table_end:]
-    segments = []
-    for index in range(count):
-        entry = SegmentInfo(
-            *_SEGMENT_ENTRY.unpack_from(table, index * SEGMENT_ENTRY_SIZE)
+    if layout.entry is None:
+        bits = fields["payload_bits"]
+        segments = (
+            SegmentInfo(
+                0,
+                fields["original_bits"],
+                bits,
+                bits // config.code_bits,
+                fields["payload_crc"],
+                fields.get("stream_crc"),
+            ),
         )
-        end = entry.offset + (entry.payload_bits + 7) // 8
-        if end > len(payload_area):
+        blobs: Tuple[BlobInfo, ...] = ()
+        tables_end = header.size
+    else:
+        count = fields["segment_count"]
+        if count < 1:
             raise ContainerError(
-                "segment payload extends past the end of the container",
-                segment=index,
-                expected=end,
-                actual=len(payload_area),
+                "segment count must be >= 1",
+                byte_offset=header.offset["segment_count"],
+                field="segment_count",
             )
-        if entry.payload_bits % config.code_bits:
+        blob_count = fields.get("blob_count", 0)
+        table_end = header.size + count * layout.entry.size
+        tables_end = table_end + blob_count * BLOB_ENTRY_SIZE
+        if len(data) < tables_end:
             raise ContainerError(
-                "segment payload is not a whole number of codes",
-                segment=index,
-                field="payload_bits",
-                expected=config.code_bits,
-                actual=entry.payload_bits,
+                f"truncated segment table ({count} segments, "
+                f"{blob_count} blobs declared)",
+                byte_offset=len(data),
+                field="segment_table",
             )
-        if entry.num_codes != entry.payload_bits // config.code_bits:
-            raise ContainerError(
-                "segment code count disagrees with its payload bit count",
-                segment=index,
-                field="num_codes",
-                expected=entry.payload_bits // config.code_bits,
-                actual=entry.num_codes,
+        # A v4 entry ends in a reserved byte the model does not keep.
+        kept = len(SegmentInfo._fields)
+        segments = tuple(
+            SegmentInfo(
+                *layout.entry.struct.unpack_from(
+                    data, header.size + index * layout.entry.size
+                )[:kept]
             )
-        segments.append(entry)
-    return _MultiHeader(
+            for index in range(count)
+        )
+        blobs = tuple(
+            BlobInfo(
+                *layout.blob_entry.struct.unpack_from(
+                    data, table_end + index * BLOB_ENTRY_SIZE
+                )
+            )
+            for index in range(blob_count)
+        )
+    blob_area_end = tables_end + max((b.offset + b.length for b in blobs), default=0)
+    crc_at = header.offset.get("header_crc")
+    if crc_at is None:
+        crc_span = b""
+    else:
+        crc_span = data[:crc_at] + data[header.size : tables_end]
+    return _Container(
+        version=fields["version"],
+        layout=layout,
         config=config,
-        segments=tuple(segments),
-        header_crc=header_crc,
-        table=table,
-        payload_area=payload_area,
+        header_crc=fields.get("header_crc"),
+        crc_span=crc_span,
+        segments=segments,
+        blobs=blobs,
+        blob_area=data[tables_end:blob_area_end],
+        payload_area=data[blob_area_end:],
     )
 
 
-def _segment_payload(header: _MultiHeader, entry: SegmentInfo) -> bytes:
-    """The padded payload bytes of one segment."""
-    return header.payload_area[entry.offset : entry.offset + (entry.payload_bits + 7) // 8]
+def _parse(data: bytes) -> _Container:
+    """Parse container bytes of any v1–v4 layout into the model."""
+    return _parse_tables(data, *_parse_header(data))
 
 
-def dump_segments(
-    parts: Sequence[CompressedStream],
-    streams: Optional[Sequence[Optional[TernaryVector]]] = None,
-    recorder: Optional[Recorder] = None,
-    seeds: Optional[Sequence[SegmentSeed]] = None,
-) -> bytes:
-    """Serialise independently coded segments into one container.
+def _header_crc_fault(model: _Container) -> Optional[ContainerError]:
+    """The header-CRC mismatch, or ``None`` (also when v1 stores none)."""
+    if model.header_crc is None:
+        return None
+    actual = zlib.crc32(model.crc_span)
+    if actual == model.header_crc:
+        return None
+    return ContainerError(
+        "header CRC mismatch (corrupted header)",
+        byte_offset=model.layout.header.offset["header_crc"],
+        expected=model.header_crc,
+        actual=actual,
+    )
 
-    ``parts`` must share one :class:`LZWConfig` (they decode on the same
-    hardware).  ``streams`` optionally supplies the already-decoded
-    stream per segment, as in :func:`dump_bytes`.  ``seeds`` optionally
-    supplies per-segment warm-dictionary seeding; any non-cold entry
-    switches the output to the v4 seeded framing.  A single cold
-    segment is written in the v2 format, so batch output degenerates to
-    the serial container bit-for-bit when there is no sharding.
+
+def _load_blob(model: _Container, index: int) -> DictionarySnapshot:
+    """Check, parse and config-validate one seed blob."""
+    blob = model.blobs[index]
+    raw = model.blob_area[blob.offset : blob.offset + blob.length]
+    if len(raw) != blob.length:
+        raise ContainerError(
+            "seed blob extends past the end of the container",
+            blob=index,
+            expected=blob.offset + blob.length,
+            actual=len(model.blob_area),
+        )
+    actual = zlib.crc32(raw)
+    if actual != blob.crc:
+        raise ContainerError(
+            "seed blob CRC mismatch (corrupted container)",
+            blob=index,
+            expected=blob.crc,
+            actual=actual,
+        )
+    snapshot = DictionarySnapshot.from_bytes(raw)
+    snapshot.require_config(model.config)
+    return snapshot
+
+
+_Blob = Union[DictionarySnapshot, ReproError]
+
+
+def _resolve_blobs(model: _Container) -> List[_Blob]:
+    """Every seed blob: its snapshot, or the typed error that stopped it."""
+    out: List[_Blob] = []
+    for index in range(len(model.blobs)):
+        try:
+            out.append(_load_blob(model, index))
+        except ReproError as exc:
+            out.append(exc)
+    return out
+
+
+# ----------------------------------------------------------------------
+# One segment walk
+# ----------------------------------------------------------------------
+
+
+class _Step(NamedTuple):
+    """What the segment walk found for one segment.
+
+    ``stage`` names the first stage that failed (``"seed"``,
+    ``"payload-crc"``, ``"decode"`` or ``"stream-digest"``; ``None``
+    when every stage that ran passed) and ``error`` its typed error;
+    the stages after it did not run.  ``decoded`` counts the codes that
+    decoded and, in a tolerant walk, ``chars`` holds their characters;
+    ``stream`` is the segment's decode once it passed.
     """
-    if not parts:
-        raise ValueError("dump_segments needs at least one segment")
-    if streams is None:
-        streams = [None] * len(parts)
-    if len(streams) != len(parts):
-        raise ValueError("streams must align with parts")
-    config = parts[0].config
-    for part in parts[1:]:
-        if part.config != config:
-            raise ValueError("all segments must share one LZWConfig")
-    if seeds is not None and len(seeds) != len(parts):
-        raise ValueError("seeds must align with parts")
-    if seeds is not None and any(seed.mode != SEED_COLD for seed in seeds):
-        return _dump_seeded(parts, streams, seeds, recorder)
-    if len(parts) == 1:
-        return dump_bytes(parts[0], streams[0], recorder)
 
-    rec = recorder if recorder is not None else NULL_RECORDER
-    with rec.span("pack"):
-        entries = []
-        payloads = []
-        offset = 0
-        width = config.code_bits
-        for part, stream in zip(parts, streams):
-            writer = BitWriter()
-            for code in part.codes:
-                writer.write(code, width)
-            payload = writer.to_bytes()
-            if stream is None:
-                stream = decode(part)
-            entries.append(
-                _SEGMENT_ENTRY.pack(
-                    offset,
-                    part.original_bits,
-                    writer.bit_length,
-                    len(part.codes),
-                    zlib.crc32(payload),
-                    stream_digest(stream),
-                )
+    index: int
+    entry: SegmentInfo
+    seed: Optional[DictionarySnapshot] = None
+    link: Optional[int] = None
+    codes: Tuple[int, ...] = ()
+    compressed: Optional[CompressedStream] = None
+    chars: Sequence[int] = ()
+    decoded: int = 0
+    stream: Optional[TernaryVector] = None
+    stage: Optional[str] = None
+    error: Optional[ReproError] = None
+    notes: Tuple[str, ...] = ()
+
+
+def _stage_name(model: _Container, index: int, stage: str) -> str:
+    """A stage's report name: bare for v1/v2, ``segment[i] ...`` otherwise."""
+    return stage if model.single else f"segment[{index}] {stage}"
+
+
+def _read_codes(
+    payload: bytes, payload_bits: int, config: LZWConfig
+) -> Tuple[int, ...]:
+    reader = BitReader.from_bytes(payload, payload_bits)
+    codes = []
+    while not reader.exhausted:
+        codes.append(reader.read(config.code_bits))
+    return tuple(codes)
+
+
+def _decode_prefix(
+    codes: Sequence[int],
+    config: LZWConfig,
+    recorder: Optional[Recorder] = None,
+    seed: Optional[DictionarySnapshot] = None,
+    link: Optional[int] = None,
+) -> Tuple[List[int], int, Optional[ReproError]]:
+    """Decode as far as the codes go: ``(chars, codes decoded, error)``."""
+    chars: List[int] = []
+    try:
+        for _index, expansion in iter_decode(
+            codes, config, recorder, seed=seed, link=link
+        ):
+            chars.extend(expansion)
+    except (DecodeError, SnapshotError) as exc:
+        # A seed that passes its CRC can still fail to replay
+        # (duplicate child, entry width): then no code decodes.
+        return chars, getattr(exc, "code_index", 0), exc
+    return chars, len(codes), None
+
+
+def _resolve_seed(
+    model: _Container, blobs: Sequence[_Blob], step: _Step, prev: Optional[_Step]
+) -> Tuple[Optional[DictionarySnapshot], Optional[int]]:
+    """The seed stage: the dictionary state a segment decodes under."""
+    index, entry = step.index, step.entry
+    mode = entry.seed_mode
+    if mode not in SEED_MODE_NAMES:
+        raise ContainerError(
+            f"unknown segment seed mode {mode}", segment=index, field="seed_mode"
+        )
+    if mode != SEED_BLOB and entry.blob_index != _NO_BLOB:
+        raise ContainerError(
+            f"{SEED_MODE_NAMES[mode]} segment carries a blob index",
+            segment=index,
+            field="blob_index",
+        )
+    if mode == SEED_COLD:
+        return None, None
+    if mode == SEED_BLOB:
+        if entry.blob_index >= len(blobs):
+            raise ContainerError(
+                f"segment references blob {entry.blob_index} of {len(blobs)}",
+                segment=index,
+                field="blob_index",
             )
-            payloads.append(payload)
-            offset += len(payload)
-        table = b"".join(entries)
-        fixed_wo_crc = _HEADER_V3.pack(
-            _MAGIC,
-            _VERSION_MULTI,
-            config.char_bits,
-            config.dict_size,
-            config.entry_bits,
-            len(parts),
-            0,
-        )[:V3_HEADER_CRC_OFFSET]
-        header_crc = zlib.crc32(fixed_wo_crc + table)
-        data = fixed_wo_crc + struct.pack(">I", header_crc) + table + b"".join(payloads)
+        seed = blobs[entry.blob_index]
+        if isinstance(seed, ReproError):
+            raise SnapshotError(
+                f"segment {index} seeds from unreadable blob {entry.blob_index}",
+                segment=index,
+                blob=entry.blob_index,
+            )
+        return seed, None
+    if prev is None:
+        raise ContainerError(
+            "segment 0 cannot chain from a previous segment",
+            segment=index,
+            field="seed_mode",
+        )
+    if prev.error is not None:
+        raise DecodeError(
+            f"segment {index} chains from segment {index - 1}, which failed "
+            "its own checks; its seed cannot be derived",
+            segment=index,
+        )
+    try:
+        seed = derive_final_snapshot(
+            prev.codes, model.config, seed=prev.seed, link=prev.link
+        )
+    except (DecodeError, SnapshotError) as exc:
+        raise ContainerError(
+            f"chain seed underivable from segment {index - 1}: {exc}",
+            segment=index,
+            field="seed_mode",
+        ) from exc
+    return seed, prev.codes[-1] if prev.codes else prev.link
+
+
+def _walk_segment(
+    model: _Container,
+    blobs: Sequence[_Blob],
+    step: _Step,
+    prev: Optional[_Step],
+    decode: bool,
+    verify: bool,
+    tolerant: bool,
+    recorder: Optional[Recorder],
+    span: Optional[str],
+) -> _Step:
+    config = model.config
+    index, entry = step.index, step.entry
+    label = "" if model.single else "segment "
+    prefix = "" if model.single else f"segment {index}: "
+
+    def where(field: str) -> dict:
+        if model.single:
+            return {"byte_offset": model.layout.header.offset[field]}
+        return {"segment": index}
+
+    def fail(stage: str, error: ReproError) -> _Step:
+        return step._replace(stage=stage, error=error)
+
+    # 1. Seed.
+    try:
+        seed, link = _resolve_seed(model, blobs, step, prev)
+    except ReproError as exc:
+        return fail("seed", exc)
+    step = step._replace(seed=seed, link=link)
+
+    # 2. Payload: bounds, whole codes, code count, CRC.  Each fault
+    # pairs the strict walk's typed error with the tolerant walk's note.
+    area = model.payload_area
+    bits = entry.payload_bits
+    width = config.code_bits
+    end = entry.offset + (bits + 7) // 8
+    payload = area if model.single else area[entry.offset : end]
+    faults = []
+
+    def fault(message: str, tolerated: str, **diagnostics) -> None:
+        error = ContainerError(f"{label}{message}", **diagnostics)
+        faults.append((error, tolerated))
+
+    if end > len(area):
+        fault(
+            "payload extends past the end of the container",
+            f"declared payload bits ({bits}) exceed data "
+            f"({len(payload) * 8}); clamped",
+            **where("payload_bits"),
+            expected=end,
+            actual=len(area),
+        )
+    if bits % width:
+        fault(
+            "payload is not a whole number of codes",
+            "trailing partial code dropped",
+            **where("payload_bits"),
+            field="payload_bits",
+            expected=width,
+            actual=bits,
+        )
+    if entry.num_codes != bits // width:
+        fault(
+            "code count disagrees with its payload bit count",
+            f"code count {entry.num_codes} disagrees with the payload (tolerated)",
+            segment=index,
+            field="num_codes",
+            expected=bits // width,
+            actual=entry.num_codes,
+        )
+    actual = zlib.crc32(payload)
+    if actual != entry.payload_crc:
+        fault(
+            "payload CRC mismatch (corrupted container)",
+            "payload CRC mismatch (tolerated)",
+            **where("payload_crc"),
+            expected=entry.payload_crc,
+            actual=actual,
+        )
+    if faults and not tolerant:
+        return fail("payload-crc", faults[0][0])
+    bits = min(bits, len(payload) * 8)
+    step = step._replace(
+        codes=_read_codes(payload, bits - bits % width, config),
+        notes=tuple(f"{prefix}{tolerated}" for _, tolerated in faults),
+    )
+    if not tolerant:
+        try:
+            compressed = CompressedStream(step.codes, config, entry.original_bits)
+        except ValueError as exc:
+            error = ContainerError(str(exc), **where("payload_bits"))
+            return fail("payload-crc", error)
+        step = step._replace(compressed=compressed)
+
+    # 3. Decode under the seed.
+    if not decode:
+        return step
+    name = _stage_name(model, index, "decode")
+    with recorder.span(f"{span}{name}") if span else nullcontext():
+        chars, decoded, error = _decode_prefix(
+            step.codes, config, recorder, seed, link
+        )
+        # Only salvage reads the characters; a strict walk keeps the stream.
+        step = step._replace(chars=chars if tolerant else (), decoded=decoded)
+        if error is None:
+            try:
+                step = step._replace(
+                    stream=_chars_to_stream(chars, config, entry.original_bits)
+                )
+            except DecodeError as exc:
+                error = exc
+    if error is not None:
+        return fail("decode", error)
+
+    # 4. Digest of the decoded stream.
+    if verify and entry.stream_crc is not None:
+        actual = stream_digest(step.stream)
+        if actual != entry.stream_crc:
+            return fail(
+                "stream-digest",
+                ContainerError(
+                    f"{label}decoded stream digest mismatch (tampered payload)",
+                    **where("stream_crc"),
+                    expected=entry.stream_crc,
+                    actual=actual,
+                ),
+            )
+    return step
+
+
+def _walk(
+    model: _Container,
+    blobs: Sequence[_Blob],
+    decode: bool = True,
+    verify: bool = True,
+    tolerant: bool = False,
+    recorder: Optional[Recorder] = None,
+    span: Optional[str] = None,
+) -> Iterator[_Step]:
+    """The one segment walk, in table order; never raises for bad data.
+
+    Each segment runs the stages resolve the seed, check the payload
+    (bounds, whole codes, code count, CRC), unpack the codes, decode
+    under the seed and check the digest, stopping at its first failing
+    stage.  A chain segment whose predecessor did not pass fails its
+    seed stage.  ``decode=False`` stops after the unpack and
+    ``verify=False`` skips the digest.  ``tolerant`` (salvage) clamps a
+    short or ragged payload and ignores a payload CRC mismatch, noting
+    both, and keeps a partial decode.  ``recorder`` records the decodes
+    (under ``span`` + the stage name when ``span`` is set).
+    """
+    prev: Optional[_Step] = None
+    for index, entry in enumerate(model.segments):
+        prev = _walk_segment(
+            model,
+            blobs,
+            _Step(index, entry),
+            prev,
+            decode,
+            verify,
+            tolerant,
+            recorder,
+            span,
+        )
+        yield prev
+
+
+def _load(
+    data: bytes,
+    newest: int,
+    verify: bool,
+    recorder: Optional[Recorder],
+    decode: bool = False,
+) -> List[_Step]:
+    """The strict walk: every segment passes every stage, or raise.
+
+    ``newest`` is the latest version the caller can represent.  The
+    recorder counts the container read and, when the caller asked for
+    the decode (``decode``), the decode itself; a verify-only decode is
+    not recorded.
+    """
+    model = _parse(data)
+    if model.version > newest:
+        kind = "multi-segment" if model.version == 3 else "seeded"
+        loader = "load_segments" if model.version == 3 else "load_seeded"
+        raise ContainerError(
+            f"{kind} (v{model.version}) container; load it with {loader}()",
+            byte_offset=4,
+            field="version",
+        )
+    rec = recorder if recorder is not None else NULL_RECORDER
     if rec.enabled:
-        rec.incr(ev.CONTAINER_BYTES_WRITTEN, len(data))
-        rec.incr(ev.CONTAINER_SEGMENTS_WRITTEN, len(parts))
-    return data
+        rec.incr(ev.CONTAINER_BYTES_READ, len(data))
+        rec.incr(ev.CONTAINER_SEGMENTS_READ, len(model.segments))
+    fault = _header_crc_fault(model)
+    if fault is not None:
+        raise fault
+    blobs = _resolve_blobs(model)
+    for blob in blobs:
+        if isinstance(blob, ReproError):
+            raise blob
+    steps = []
+    for step in _walk(
+        model, blobs, decode or verify, verify, recorder=rec if decode else None
+    ):
+        if step.error is None:
+            steps.append(step)
+        elif step.stage == "decode" and model.layout.blob_entry is not None:
+            raise ContainerError(
+                f"segment does not decode under its declared seed: {step.error}",
+                segment=step.index,
+                field="seed_mode",
+            ) from step.error
+        else:
+            raise step.error
+    return steps
+
+
+# ----------------------------------------------------------------------
+# Loaders
+# ----------------------------------------------------------------------
+
+
+def load_bytes(
+    data: bytes, verify: bool = True, recorder: Optional[Recorder] = None
+) -> CompressedStream:
+    """Parse v1/v2 container bytes back into a :class:`CompressedStream`.
+
+    With ``verify`` (the default) a version-2 container's decoded stream
+    is checked against the stored digest, which catches corruptions that
+    preserve both CRCs; pass ``verify=False`` to skip the extra decode
+    when the caller decodes (and therefore validates) the stream anyway.
+    """
+    return _load(data, 2, verify, recorder)[0].compressed
 
 
 def load_segments(
@@ -649,100 +958,58 @@ def load_segments(
 ) -> Tuple[CompressedStream, ...]:
     """Parse container bytes into one :class:`CompressedStream` per segment.
 
-    Accepts every format version: v1/v2 containers load as a single
-    segment (via :func:`load_bytes`), v3 containers as their full
-    segment sequence.  Integrity failures raise
-    :class:`ContainerError` carrying the failing ``segment`` index.
+    Accepts v1–v3: v1/v2 containers load as a single segment, v3
+    containers as their full segment sequence.  Integrity failures
+    raise :class:`ContainerError` carrying the failing ``segment`` index.
     """
-    if container_version(data) != _VERSION_MULTI:
-        return (load_bytes(data, verify=verify, recorder=recorder),)
-    rec = recorder if recorder is not None else NULL_RECORDER
-    header = _parse_multi(data)
-    if rec.enabled:
-        rec.incr(ev.CONTAINER_BYTES_READ, len(data))
-        rec.incr(ev.CONTAINER_SEGMENTS_READ, len(header.segments))
-    actual_crc = zlib.crc32(data[:V3_HEADER_CRC_OFFSET] + header.table)
-    if actual_crc != header.header_crc:
-        raise ContainerError(
-            "header CRC mismatch (corrupted header or segment table)",
-            byte_offset=V3_HEADER_CRC_OFFSET,
-            expected=header.header_crc,
-            actual=actual_crc,
-        )
-    out = []
-    for index, entry in enumerate(header.segments):
-        payload = _segment_payload(header, entry)
-        actual = zlib.crc32(payload)
-        if actual != entry.payload_crc:
-            raise ContainerError(
-                "segment payload CRC mismatch (corrupted container)",
-                segment=index,
-                expected=entry.payload_crc,
-                actual=actual,
-            )
-        codes = _read_codes(payload, entry.payload_bits, header.config)
-        try:
-            compressed = CompressedStream(codes, header.config, entry.original_bits)
-        except ValueError as exc:
-            raise ContainerError(str(exc), segment=index) from None
-        if verify:
-            actual_digest = stream_digest(decode(compressed))
-            if actual_digest != entry.stream_crc:
-                raise ContainerError(
-                    "segment decoded stream digest mismatch (tampered payload)",
-                    segment=index,
-                    expected=entry.stream_crc,
-                    actual=actual_digest,
-                )
-        out.append(compressed)
-    return tuple(out)
+    return tuple(step.compressed for step in _load(data, 3, verify, recorder))
+
+
+def load_seeded(
+    data: bytes, verify: bool = True, recorder: Optional[Recorder] = None
+) -> Tuple[LoadedSegment, ...]:
+    """Parse container bytes into seed-aware segments, any v1–v4 version.
+
+    v1/v2/v3 containers load as cold segments; v4 containers resolve
+    each segment's seeding state — blob snapshots are CRC-checked and
+    parsed, chain states re-derived from the previous segment's codes.
+    Integrity failures raise :class:`ContainerError` (or
+    :class:`SnapshotError` for malformed blobs).
+    """
+    return tuple(
+        LoadedSegment(step.compressed, step.seed, step.link, step.entry.seed_mode)
+        for step in _load(data, 4, verify, recorder)
+    )
+
+
+def decode_container(
+    data: bytes, verify: bool = True, recorder: Optional[Recorder] = None
+) -> TernaryVector:
+    """Decode container bytes of any version to the full logical stream.
+
+    For multi-segment containers this is the concatenation of the
+    per-segment decodes in table order; v4 segments decode under their
+    declared seeding state; v5 streaming containers decode frame by
+    frame with per-frame digest verification.  Each segment decodes
+    once: the digest is checked on the decode that is returned.
+    """
+    if container_version(data) == _VERSION_STREAM:
+        from .streamio import decode_stream_bytes
+
+        return decode_stream_bytes(data, recorder=recorder)
+    steps = _load(data, 4, verify, recorder, decode=True)
+    return TernaryVector.concat_all([step.stream for step in steps])
 
 
 # ----------------------------------------------------------------------
-# Seeded multi-segment (v4) framing
+# One packer
 # ----------------------------------------------------------------------
 
 
-class SeededSegmentInfo(NamedTuple):
-    """One parsed segment-table entry of a v4 container."""
-
-    offset: int
-    original_bits: int
-    payload_bits: int
-    num_codes: int
-    payload_crc: int
-    stream_crc: int
-    seed_mode: int
-    blob_index: int
-
-
-class BlobInfo(NamedTuple):
-    """One parsed blob-table entry of a v4 container."""
-
-    offset: int
-    length: int
-    crc: int
-
-
-class _SeededHeader(NamedTuple):
-    """Parsed v4 header: configuration, tables and the data areas."""
-
-    config: LZWConfig
-    segments: Tuple[SeededSegmentInfo, ...]
-    blobs: Tuple[BlobInfo, ...]
-    header_crc: int
-    tables: bytes
-    blob_area: bytes
-    payload_area: bytes
-
-
-def _dump_seeded(
-    parts: Sequence[CompressedStream],
-    streams: Sequence[Optional[TernaryVector]],
-    seeds: Sequence[SegmentSeed],
-    recorder: Optional[Recorder] = None,
-) -> bytes:
-    """Serialise segments with warm-dictionary seeding into a v4 container."""
+def _check_seeds(
+    parts: Sequence[CompressedStream], seeds: Sequence[SegmentSeed]
+) -> None:
+    """Reject seeding a v4 container could not replay."""
     config = parts[0].config
     expected_link: Optional[int] = None
     for index, (part, seed) in enumerate(zip(parts, seeds)):
@@ -774,17 +1041,32 @@ def _dump_seeded(
             seed.link if seed.mode == SEED_CHAIN else None
         )
 
+
+def _pack(
+    parts: Sequence[CompressedStream],
+    streams: Sequence[Optional[TernaryVector]],
+    seeds: Sequence[SegmentSeed],
+    recorder: Optional[Recorder],
+) -> bytes:
+    """Serialise segments in the smallest layout that holds them.
+
+    One cold segment is v2, all cold segments v3, anything warm v4.
+    """
+    config = parts[0].config
     rec = recorder if recorder is not None else NULL_RECORDER
     with rec.span("pack"):
+        if any(seed.mode != SEED_COLD for seed in seeds):
+            version = 4
+        else:
+            version = 2 if len(parts) == 1 else 3
+        layout = _LAYOUTS[version]
+
         # Blob table: deduplicate snapshots by digest, first-reference order.
-        blob_bytes: list = []
-        blob_order: dict = {}
+        blob_bytes: List[bytes] = []
+        blob_order: Dict[str, int] = {}
         for seed in seeds:
-            if seed.mode != SEED_BLOB:
-                continue
-            digest = seed.snapshot.digest
-            if digest not in blob_order:
-                blob_order[digest] = len(blob_bytes)
+            if seed.mode == SEED_BLOB and seed.snapshot.digest not in blob_order:
+                blob_order[seed.snapshot.digest] = len(blob_bytes)
                 blob_bytes.append(seed.snapshot.to_bytes())
         if len(blob_bytes) >= _NO_BLOB:
             raise ValueError(f"too many distinct seed blobs ({len(blob_bytes)})")
@@ -800,53 +1082,58 @@ def _dump_seeded(
             payload = writer.to_bytes()
             if stream is None:
                 stream = decode(part, seed=seed.snapshot, link=seed.link)
-            blob_index = (
-                blob_order[seed.snapshot.digest] if seed.mode == SEED_BLOB else _NO_BLOB
-            )
             entries.append(
-                _SEGMENT_ENTRY_V4.pack(
-                    offset,
-                    part.original_bits,
-                    writer.bit_length,
-                    len(part.codes),
-                    zlib.crc32(payload),
-                    stream_digest(stream),
-                    seed.mode,
-                    blob_index,
-                    0,
+                dict(
+                    offset=offset,
+                    original_bits=part.original_bits,
+                    payload_bits=writer.bit_length,
+                    num_codes=len(part.codes),
+                    payload_crc=zlib.crc32(payload),
+                    stream_crc=stream_digest(stream),
+                    seed_mode=seed.mode,
+                    blob_index=(
+                        blob_order[seed.snapshot.digest]
+                        if seed.mode == SEED_BLOB
+                        else _NO_BLOB
+                    ),
                 )
             )
             payloads.append(payload)
             offset += len(payload)
 
-        blob_entries = []
-        blob_offset = 0
-        for blob in blob_bytes:
-            blob_entries.append(
-                _BLOB_ENTRY.pack(blob_offset, len(blob), zlib.crc32(blob))
-            )
-            blob_offset += len(blob)
-
-        flags = _FLAG_RESET_ON_FULL if config.reset_on_full else 0
-        tables = b"".join(entries) + b"".join(blob_entries)
-        fixed_wo_crc = _HEADER_V4.pack(
-            _MAGIC,
-            _VERSION_SEEDED,
-            config.char_bits,
-            config.dict_size,
-            config.entry_bits,
-            len(parts),
-            flags,
-            len(blob_bytes),
-            0,
-        )[:V4_HEADER_CRC_OFFSET]
-        header_crc = zlib.crc32(fixed_wo_crc + tables)
-        data = (
-            fixed_wo_crc
-            + struct.pack(">I", header_crc)
-            + tables
-            + b"".join(blob_bytes)
-            + b"".join(payloads)
+        tables = []
+        if layout.entry is not None:
+            tables = [layout.entry.pack(**entry) for entry in entries]
+            blob_offset = 0
+            for blob in blob_bytes:
+                tables.append(
+                    layout.blob_entry.pack(
+                        offset=blob_offset, length=len(blob), crc=zlib.crc32(blob)
+                    )
+                )
+                blob_offset += len(blob)
+        header = layout.header.pack(
+            **(entries[0] if layout.entry is None else {}),
+            magic=_MAGIC,
+            version=version,
+            char_bits=config.char_bits,
+            dict_size=config.dict_size,
+            entry_bits=config.entry_bits,
+            segment_count=len(parts),
+            flags=_FLAG_RESET_ON_FULL if config.reset_on_full else 0,
+            blob_count=len(blob_bytes),
+        )
+        table_bytes = b"".join(tables)
+        crc_at = layout.header.offset["header_crc"]
+        header_crc = zlib.crc32(header[:crc_at] + table_bytes)
+        data = b"".join(
+            [
+                header[:crc_at],
+                struct.pack(">I", header_crc),
+                table_bytes,
+                *blob_bytes,
+                *payloads,
+            ]
         )
     if rec.enabled:
         rec.incr(ev.CONTAINER_BYTES_WRITTEN, len(data))
@@ -854,296 +1141,55 @@ def _dump_seeded(
     return data
 
 
-def _parse_seeded(data: bytes, strict: bool = True) -> _SeededHeader:
-    """Parse a v4 header, segment table and blob table (no checksum checks).
+def dump_bytes(
+    compressed: CompressedStream,
+    stream: Optional[TernaryVector] = None,
+    recorder: Optional[Recorder] = None,
+) -> bytes:
+    """Serialise a compressed test set to v2 container bytes.
 
-    ``strict=False`` tolerates a container whose blob or payload area
-    has been truncated — the tables must still parse, but the area
-    bounds checks are skipped so a best-effort consumer (salvage) can
-    clamp to whatever bytes survive.
+    ``stream`` may supply the already-decoded scan stream (e.g. a
+    :class:`~repro.core.pipeline.CompressionResult`'s
+    ``assigned_stream``) to avoid re-decoding when computing the stream
+    digest; when omitted the codes are decoded here.  ``recorder``
+    collects ``container.*`` counters and a ``pack`` span.
     """
-    if len(data) < _HEADER_V4.size:
-        raise ContainerError("truncated container header", byte_offset=len(data))
-    if data[:4] != _MAGIC:
-        raise ContainerError(f"bad magic {data[:4]!r}", byte_offset=0, field="magic")
-    if data[4] != _VERSION_SEEDED:
-        raise ContainerError(
-            f"not a seeded container (version {data[4]})",
-            byte_offset=4,
-            field="version",
-        )
-    (
-        _,
-        _,
-        char_bits,
-        dict_size,
-        entry_bits,
-        count,
-        flags,
-        blob_count,
-        header_crc,
-    ) = _HEADER_V4.unpack_from(data)
-    if count < 1:
-        raise ContainerError(
-            "segment count must be >= 1",
-            byte_offset=V4_SEGMENT_COUNT_OFFSET,
-            field="segment_count",
-        )
-    if flags & ~_FLAG_RESET_ON_FULL:
-        raise ContainerError(
-            f"unknown container flags 0x{flags:02x}",
-            byte_offset=V4_FLAGS_OFFSET,
-            field="flags",
-        )
-    try:
-        config = LZWConfig(
-            char_bits=char_bits,
-            dict_size=dict_size,
-            entry_bits=entry_bits,
-            reset_on_full=bool(flags & _FLAG_RESET_ON_FULL),
-        )
-    except ConfigError as exc:
-        raise ContainerError(
-            f"invalid configuration in header: {exc.message}",
-            field=getattr(exc, "field", None),
-        ) from None
-    table_end = V4_SEGMENT_TABLE_OFFSET + count * SEGMENT_ENTRY_V4_SIZE
-    blob_table_end = table_end + blob_count * BLOB_ENTRY_SIZE
-    if len(data) < blob_table_end:
-        raise ContainerError(
-            f"truncated segment/blob table ({count} segments, "
-            f"{blob_count} blobs declared)",
-            byte_offset=len(data),
-            field="segment_table",
-        )
-    tables = data[V4_SEGMENT_TABLE_OFFSET:blob_table_end]
-    seg_table = data[V4_SEGMENT_TABLE_OFFSET:table_end]
-    blob_table = data[table_end:blob_table_end]
-
-    blobs = []
-    blob_area_len = 0
-    for index in range(blob_count):
-        blob = BlobInfo(*_BLOB_ENTRY.unpack_from(blob_table, index * BLOB_ENTRY_SIZE))
-        blob_area_len = max(blob_area_len, blob.offset + blob.length)
-        blobs.append(blob)
-    if strict and len(data) < blob_table_end + blob_area_len:
-        raise ContainerError(
-            "blob area extends past the end of the container",
-            field="blob_table",
-            expected=blob_table_end + blob_area_len,
-            actual=len(data),
-        )
-    blob_area = data[blob_table_end : blob_table_end + blob_area_len]
-    payload_area = data[blob_table_end + blob_area_len :]
-
-    segments = []
-    for index in range(count):
-        fields = _SEGMENT_ENTRY_V4.unpack_from(seg_table, index * SEGMENT_ENTRY_V4_SIZE)
-        entry = SeededSegmentInfo(*fields[:8])
-        if entry.seed_mode not in SEED_MODE_NAMES:
-            raise ContainerError(
-                f"unknown segment seed mode {entry.seed_mode}",
-                segment=index,
-                field="seed_mode",
-            )
-        if entry.seed_mode == SEED_CHAIN and index == 0:
-            raise ContainerError(
-                "segment 0 cannot chain from a previous segment",
-                segment=index,
-                field="seed_mode",
-            )
-        if entry.seed_mode == SEED_BLOB:
-            if entry.blob_index >= len(blobs):
-                raise ContainerError(
-                    f"segment references blob {entry.blob_index} of {len(blobs)}",
-                    segment=index,
-                    field="blob_index",
-                )
-        elif entry.blob_index != _NO_BLOB:
-            raise ContainerError(
-                f"{SEED_MODE_NAMES[entry.seed_mode]} segment carries a blob index",
-                segment=index,
-                field="blob_index",
-            )
-        end = entry.offset + (entry.payload_bits + 7) // 8
-        if strict and end > len(payload_area):
-            raise ContainerError(
-                "segment payload extends past the end of the container",
-                segment=index,
-                expected=end,
-                actual=len(payload_area),
-            )
-        if entry.payload_bits % config.code_bits:
-            raise ContainerError(
-                "segment payload is not a whole number of codes",
-                segment=index,
-                field="payload_bits",
-                expected=config.code_bits,
-                actual=entry.payload_bits,
-            )
-        if entry.num_codes != entry.payload_bits // config.code_bits:
-            raise ContainerError(
-                "segment code count disagrees with its payload bit count",
-                segment=index,
-                field="num_codes",
-                expected=entry.payload_bits // config.code_bits,
-                actual=entry.num_codes,
-            )
-        segments.append(entry)
-    return _SeededHeader(
-        config=config,
-        segments=tuple(segments),
-        blobs=tuple(blobs),
-        header_crc=header_crc,
-        tables=tables,
-        blob_area=blob_area,
-        payload_area=payload_area,
-    )
+    return _pack([compressed], [stream], [COLD_SEED], recorder)
 
 
-def _seeded_payload(header: _SeededHeader, entry: SeededSegmentInfo) -> bytes:
-    """The padded payload bytes of one v4 segment."""
-    return header.payload_area[
-        entry.offset : entry.offset + (entry.payload_bits + 7) // 8
-    ]
+def dump_segments(
+    parts: Sequence[CompressedStream],
+    streams: Optional[Sequence[Optional[TernaryVector]]] = None,
+    recorder: Optional[Recorder] = None,
+    seeds: Optional[Sequence[SegmentSeed]] = None,
+) -> bytes:
+    """Serialise independently coded segments into one container.
 
-
-def _load_blob(header: _SeededHeader, index: int) -> DictionarySnapshot:
-    """Check, parse and config-validate one seed blob."""
-    blob = header.blobs[index]
-    raw = header.blob_area[blob.offset : blob.offset + blob.length]
-    actual = zlib.crc32(raw)
-    if actual != blob.crc:
-        raise ContainerError(
-            "seed blob CRC mismatch (corrupted container)",
-            blob=index,
-            expected=blob.crc,
-            actual=actual,
-        )
-    snapshot = DictionarySnapshot.from_bytes(raw)
-    snapshot.require_config(header.config)
-    return snapshot
-
-
-def _chain_seed(
-    prev: LoadedSegment, config: LZWConfig, index: int
-) -> Tuple[DictionarySnapshot, Optional[int]]:
-    """Derive segment ``index``'s seeding state from its predecessor."""
-    codes = prev.compressed.codes
-    try:
-        snapshot = derive_final_snapshot(codes, config, seed=prev.seed, link=prev.link)
-    except (DecodeError, SnapshotError) as exc:
-        raise ContainerError(
-            f"chain seed underivable from segment {index - 1}: {exc}",
-            segment=index,
-            field="seed_mode",
-        ) from exc
-    link = codes[-1] if codes else prev.link
-    return snapshot, link
-
-
-def load_seeded(
-    data: bytes, verify: bool = True, recorder: Optional[Recorder] = None
-) -> Tuple[LoadedSegment, ...]:
-    """Parse container bytes into seed-aware segments, any format version.
-
-    v1/v2/v3 containers load as cold segments; v4 containers resolve
-    each segment's seeding state — blob snapshots are CRC-checked and
-    parsed, chain states re-derived from the previous segment's codes.
-    Integrity failures raise :class:`ContainerError` (or
-    :class:`SnapshotError` for malformed blobs).
+    ``parts`` must share one :class:`LZWConfig` (they decode on the same
+    hardware).  ``streams`` optionally supplies the already-decoded
+    stream per segment, as in :func:`dump_bytes`.  ``seeds`` optionally
+    supplies per-segment warm-dictionary seeding; any non-cold entry
+    switches the output to the v4 seeded framing.  A single cold
+    segment is written in the v2 format, so batch output degenerates to
+    the serial container bit-for-bit when there is no sharding.
     """
-    version = container_version(data)
-    if version == _VERSION_STREAM:
-        raise ContainerError(
-            "streaming (v5) container; decode it with decode_container() "
-            "or repro.streamio",
-            byte_offset=4,
-            field="version",
-        )
-    if version != _VERSION_SEEDED:
-        return tuple(
-            LoadedSegment(compressed, None, None, SEED_COLD)
-            for compressed in load_segments(data, verify=verify, recorder=recorder)
-        )
-    rec = recorder if recorder is not None else NULL_RECORDER
-    header = _parse_seeded(data)
-    if rec.enabled:
-        rec.incr(ev.CONTAINER_BYTES_READ, len(data))
-        rec.incr(ev.CONTAINER_SEGMENTS_READ, len(header.segments))
-    actual_crc = zlib.crc32(data[:V4_HEADER_CRC_OFFSET] + header.tables)
-    if actual_crc != header.header_crc:
-        raise ContainerError(
-            "header CRC mismatch (corrupted header or tables)",
-            byte_offset=V4_HEADER_CRC_OFFSET,
-            expected=header.header_crc,
-            actual=actual_crc,
-        )
-    snapshots = [_load_blob(header, index) for index in range(len(header.blobs))]
-    out: list = []
-    for index, entry in enumerate(header.segments):
-        payload = _seeded_payload(header, entry)
-        actual = zlib.crc32(payload)
-        if actual != entry.payload_crc:
-            raise ContainerError(
-                "segment payload CRC mismatch (corrupted container)",
-                segment=index,
-                expected=entry.payload_crc,
-                actual=actual,
-            )
-        codes = _read_codes(payload, entry.payload_bits, header.config)
-        try:
-            compressed = CompressedStream(codes, header.config, entry.original_bits)
-        except ValueError as exc:
-            raise ContainerError(str(exc), segment=index) from None
-        seed: Optional[DictionarySnapshot] = None
-        link: Optional[int] = None
-        if entry.seed_mode == SEED_BLOB:
-            seed = snapshots[entry.blob_index]
-        elif entry.seed_mode == SEED_CHAIN:
-            seed, link = _chain_seed(out[index - 1], header.config, index)
-        if verify:
-            try:
-                decoded = decode(compressed, seed=seed, link=link)
-            except (DecodeError, SnapshotError) as exc:
-                raise ContainerError(
-                    f"segment does not decode under its declared seed: {exc}",
-                    segment=index,
-                    field="seed_mode",
-                ) from exc
-            actual_digest = stream_digest(decoded)
-            if actual_digest != entry.stream_crc:
-                raise ContainerError(
-                    "segment decoded stream digest mismatch (tampered payload)",
-                    segment=index,
-                    expected=entry.stream_crc,
-                    actual=actual_digest,
-                )
-        out.append(LoadedSegment(compressed, seed, link, entry.seed_mode))
-    return tuple(out)
-
-
-def decode_container(
-    data: bytes, verify: bool = True, recorder: Optional[Recorder] = None
-) -> TernaryVector:
-    """Decode container bytes of any version to the full logical stream.
-
-    For multi-segment containers this is the concatenation of the
-    per-segment decodes in table order; v4 segments decode under their
-    declared seeding state; v5 streaming containers decode frame by
-    frame with per-frame digest verification.
-    """
-    rec = recorder if recorder is not None else NULL_RECORDER
-    if container_version(data) == _VERSION_STREAM:
-        from .streamio import decode_stream_bytes
-
-        return decode_stream_bytes(data, recorder=recorder)
-    return TernaryVector.concat_all(
-        [
-            decode(segment.compressed, recorder=rec, seed=segment.seed, link=segment.link)
-            for segment in load_seeded(data, verify=verify, recorder=rec)
-        ]
-    )
+    if not parts:
+        raise ValueError("dump_segments needs at least one segment")
+    if streams is None:
+        streams = [None] * len(parts)
+    if len(streams) != len(parts):
+        raise ValueError("streams must align with parts")
+    config = parts[0].config
+    for part in parts[1:]:
+        if part.config != config:
+            raise ValueError("all segments must share one LZWConfig")
+    if seeds is None:
+        seeds = [COLD_SEED] * len(parts)
+    if len(seeds) != len(parts):
+        raise ValueError("seeds must align with parts")
+    if any(seed.mode != SEED_COLD for seed in seeds):
+        _check_seeds(parts, seeds)
+    return _pack(parts, streams, seeds, recorder)
 
 
 def dump_file(

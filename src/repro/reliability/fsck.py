@@ -220,32 +220,18 @@ def _rebuild_stream(data: bytes) -> Tuple[bytes, Tuple[str, ...]]:
     from ..core.stream import StreamDecoder
     from ..streamio import (
         V5_HEADER_SIZE,
+        _FrameWalk,
         frame_seal,
-        pack_chars,
         scan_stream,
         terminal_frame_bytes,
     )
-    from .errors import DecodeError
 
     scan = scan_stream(data)  # raises only for an unusable header
-    decoder = StreamDecoder(scan.config)
-    chars_crc = 0
-    kept = []
+    walk = _FrameWalk(scan.config)
+    kept = [frame for frame, _chars in walk.verified(scan.frames)]
     notes: List[str] = []
-    for frame in scan.frames:
-        chunk: List[int] = []
-        try:
-            for code in frame.codes:
-                chunk.extend(decoder.push(code))
-        except DecodeError as exc:
-            notes.append(f"frame {frame.index} undecodable ({exc.message}); dropped")
-            break
-        next_crc = zlib.crc32(pack_chars(chunk), chars_crc)
-        if frame_seal(decoder.snapshot(), next_crc) != frame.dict_digest:
-            notes.append(f"frame {frame.index} seal mismatch; dropped")
-            break
-        chars_crc = next_crc
-        kept.append(frame)
+    if walk.fault is not None:
+        notes.append(f"{walk.fault.message}; dropped")
     dropped = len(scan.frames) - len(kept)
     if dropped > 1:
         notes.append(f"frames after the first fault dropped ({dropped} total)")

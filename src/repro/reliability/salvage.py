@@ -13,14 +13,13 @@ truncated payloads that :func:`repro.container.load_bytes` rejects.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from ..bitstream import BitReader, TernaryVector
-from ..core import CompressedStream, LZWConfig
-from ..core.decoder import _chars_to_stream, iter_decode
-from .errors import DecodeError, ReproError, SnapshotError, StreamError
+from ..bitstream import TernaryVector
+from ..core import CompressedStream
+from ..core.decoder import _chars_to_stream
+from .errors import DecodeError, ReproError
 
 __all__ = ["PartialDecodeResult", "decode_partial", "salvage_container"]
 
@@ -56,12 +55,13 @@ class PartialDecodeResult:
         Human-readable observations gathered while salvaging (CRC
         mismatches tolerated, payload truncation, ...).
     failed_segment:
-        For a multi-segment (v3) container, the table index of the first
-        segment that failed to decode (``None`` when ``complete`` or for
-        single-stream containers).  Segments before it are recovered in
-        full; segments after it are not attempted (each decodes with a
-        fresh dictionary, but the *logical* stream is their ordered
-        concatenation, so a hole would misalign every later bit).
+        For a multi-segment (v3/v4) container, the table index of the
+        first segment that failed to decode; for a v5 journal, the index
+        of the first frame not recovered (``None`` when ``complete`` or
+        for single-stream v1/v2 containers).  Segments before it are
+        recovered in full; segments after it are not attempted (the
+        *logical* stream is their ordered concatenation, so a hole would
+        misalign every later bit).
     """
 
     stream: TernaryVector
@@ -107,205 +107,162 @@ def decode_partial(compressed: CompressedStream) -> PartialDecodeResult:
     Never raises for an undecodable stream: the longest decodable prefix
     is returned with the typed error attached.
     """
-    return _decode_partial_codes(
-        compressed.codes, compressed.config, compressed.original_bits
-    )
+    from ..container import _decode_prefix
 
-
-def _decode_partial_codes(
-    codes: Tuple[int, ...],
-    config: LZWConfig,
-    original_bits: Optional[int],
-    notes: Tuple[str, ...] = (),
-    seed=None,
-    link: Optional[int] = None,
-) -> PartialDecodeResult:
-    chars = []
-    codes_decoded = 0
-    error: Optional[ReproError] = None
-    try:
-        for index, expansion in iter_decode(
-            codes, config, seed=seed, link=link
-        ):
-            chars.extend(expansion)
-            codes_decoded = index + 1
-    except (DecodeError, SnapshotError) as exc:
-        # A seed that passes its CRC can still fail to replay (duplicate
-        # child, entry width): no code of this segment decodes.
-        error = exc
+    config = compressed.config
+    chars, decoded, error = _decode_prefix(compressed.codes, config)
     prefix = _chars_to_stream(chars, config, None)
-    if error is None and original_bits is not None:
-        if original_bits > len(prefix):
-            error = DecodeError(
-                f"decoded {len(prefix)} bits but {original_bits} expected",
-                decoded_bits=len(prefix),
-                expected_bits=original_bits,
-            )
-        else:
-            prefix = prefix[:original_bits]
+    if error is None:
+        try:
+            prefix = _chars_to_stream(chars, config, compressed.original_bits)
+        except DecodeError as exc:
+            error = exc
+    return _result(prefix, chars, decoded, len(compressed.codes), error, ())
+
+
+def _result(
+    stream, chars, decoded, total, error, notes, failed_segment=None, located=None
+):
+    """A result; ``located`` is the error that locates the failing code."""
+    located = error if located is None else located
     return PartialDecodeResult(
-        stream=prefix,
+        stream=stream,
         chars=tuple(chars),
-        codes_decoded=codes_decoded,
-        total_codes=len(codes),
+        codes_decoded=decoded,
+        total_codes=total,
         complete=error is None,
         error=error,
-        failed_code_index=getattr(error, "code_index", None),
-        failed_bit_offset=getattr(error, "bit_offset", None),
-        notes=notes,
+        failed_code_index=getattr(located, "code_index", None),
+        failed_bit_offset=getattr(located, "bit_offset", None),
+        notes=tuple(notes),
+        failed_segment=failed_segment,
     )
 
 
 def salvage_container(data: bytes, recorder=None) -> PartialDecodeResult:
     """Best-effort decode starting from raw ``.lzwt`` container bytes.
 
-    The header must still parse (magic, version, a valid configuration —
-    and, for multi-segment v3 containers, a structurally valid segment
-    table); beyond that every integrity failure is tolerated and
-    recorded in ``notes``: header/payload CRC mismatches, declared bit
-    counts exceeding the data, and trailing partial codes are all
-    clamped rather than fatal.  A v3 container salvages segment by
-    segment: every segment before the first undecodable one is
-    recovered in full and the failing table index is reported as
-    ``failed_segment`` (matching the ``segment=i`` diagnostics of
-    ``repro verify``'s exit-code-4 errors).  A seeded (v4) container
-    additionally resolves each segment's dictionary seed first — an
-    unreadable seed blob or an underivable chain seed makes that
-    segment undecodable (see :func:`_salvage_seeded`).  A streaming
-    (v5) journal salvages frame by frame, recovering every complete
-    digest-verified frame before the first fault (see
+    The header and tables must still parse (magic, version, a valid
+    configuration, complete segment and blob tables); beyond that every
+    integrity failure is tolerated and recorded in ``notes``: header and
+    payload CRC mismatches, unreadable seed blobs, declared bit counts
+    exceeding the data (a truncated file) and trailing partial codes
+    are all clamped rather than fatal.  Every version walks the
+    container's one segment walk in its tolerant mode: segments decode
+    in table order, each under its resolved seed, and the salvage stops
+    at the first segment that does not decode in full.  Every segment
+    before it is recovered in full; for multi-segment containers its
+    table index is reported as ``failed_segment`` (matching the
+    ``segment[i]`` diagnostics of ``repro verify``).  A streaming (v5)
+    journal salvages frame by frame, recovering every complete
+    seal-verified frame before the first fault (see
     :func:`_salvage_stream`).
 
     Raises :class:`~repro.reliability.errors.ContainerError` only when
-    the header (or v3 segment table) itself is unusable.
+    the header or the tables themselves are unusable.
     """
-    from ..container import _parse_header, container_version
-    from .errors import ContainerError
-
-    try:
-        version = container_version(data)
-    except ContainerError:
-        version = None  # let _parse_header report the header problem
-    if version == 3:
-        return _salvage_multi(data)
-    if version == 4:
-        return _salvage_seeded(data)
-    if version == 5:
-        return _salvage_stream(data, recorder=recorder)
-    header = _parse_header(data)
-    config = header.config
-    notes = []
-    payload = header.payload
-    payload_bits = header.payload_bits
-    if zlib.crc32(payload) != header.payload_crc:
-        notes.append("payload CRC mismatch (tolerated)")
-    if payload_bits > len(payload) * 8:
-        notes.append(
-            f"declared payload bits ({payload_bits}) exceed data "
-            f"({len(payload) * 8}); clamped"
-        )
-        payload_bits = len(payload) * 8
-    if payload_bits % config.code_bits:
-        notes.append("trailing partial code dropped")
-        payload_bits -= payload_bits % config.code_bits
-    reader = BitReader.from_bytes(payload, payload_bits)
-    codes = []
-    try:
-        while not reader.exhausted:
-            codes.append(reader.read(config.code_bits))
-    except StreamError:  # pragma: no cover - excluded by the clamping above
-        notes.append("payload ended mid-code")
-    return _decode_partial_codes(
-        tuple(codes), config, header.original_bits, notes=tuple(notes)
+    from ..container import (  # deferred: container imports this package
+        _VERSION_STREAM,
+        _header_crc_fault,
+        _parse,
+        _resolve_blobs,
+        _walk,
     )
+
+    if data[:4] == b"LZWT" and data[4:5] == bytes([_VERSION_STREAM]):
+        return _salvage_stream(data, recorder=recorder)
+    model = _parse(data)
+    notes = []
+    if _header_crc_fault(model) is not None:
+        notes.append("header CRC mismatch (tolerated)")
+    blobs = _resolve_blobs(model)
+    for index, blob in enumerate(blobs):
+        if isinstance(blob, ReproError):
+            notes.append(f"seed blob {index} unreadable: {blob.message}")
+    streams = []
+    chars = []
+    decoded = 0
+    error = failed = None
+    for step in _walk(model, blobs, verify=False, tolerant=True):
+        notes.extend(step.notes)
+        decoded += step.decoded
+        chars.extend(step.chars)
+        if step.error is not None:
+            error = step.error
+            streams.append(_chars_to_stream(step.chars, model.config, None))
+            break
+        streams.append(step.stream)
+    count = len(model.segments)
+    if error is not None and not model.single:
+        failed = step.index
+        notes.append(
+            f"segment {failed} undecodable; segments {failed + 1}..{count - 1} "
+            "not attempted"
+            if failed + 1 < count
+            else f"segment {failed} undecodable"
+        )
+    total = sum(entry.num_codes for entry in model.segments)
+    stream = TernaryVector.concat_all(streams)
+    return _result(stream, chars, decoded, total, error, notes, failed)
 
 
 def _salvage_stream(data: bytes, recorder=None) -> PartialDecodeResult:
     """Frame-by-frame best-effort decode of a streaming (v5) journal.
 
-    Every structurally valid, digest-verified frame before the first
-    fault is recovered — the crash-recovery contract of the append-only
-    format: a torn tail (the crash signature) or a missing terminal
-    costs only the unfinished suffix, and is distinguished in the notes
-    from mid-file corruption.  A frame whose dictionary digest
-    mismatches is dropped along with everything after it (a diverged
-    dictionary would expand every later code to the wrong string).
+    Every structurally valid frame the v5 frame walk verifies before
+    the first fault is recovered — the crash-recovery contract of the
+    append-only format: a torn tail (the crash signature) or a missing
+    terminal costs only the unfinished suffix, and is distinguished in
+    the notes from mid-file corruption.  A frame whose seal mismatches
+    is dropped along with everything after it (a diverged dictionary
+    would expand every later code to the wrong string).
 
     Raises :class:`~repro.reliability.errors.ContainerError` only when
     the 19-byte stream header itself is unusable.
     """
-    from ..core.stream import StreamDecoder
     from ..observability import NULL_RECORDER
     from ..observability import schema as ev
-    from ..streamio import frame_seal, pack_chars, scan_stream
+    from ..streamio import _FrameWalk, scan_stream
 
     rec = recorder if recorder is not None else NULL_RECORDER
     scan = scan_stream(data)  # raises only for an unusable header
-    config = scan.config
     notes = []
-    decoder = StreamDecoder(config)
+    walk = _FrameWalk(scan.config)
     chars = []
-    chars_crc = 0
     codes_decoded = 0
-    frames_kept = 0
-    error: Optional[ReproError] = scan.error
-    failed_frame: Optional[int] = None
-    failed_code_index: Optional[int] = None
-    failed_bit_offset: Optional[int] = None
-
-    for frame in scan.frames:
-        frame_chars = []
-        try:
-            for code in frame.codes:
-                frame_chars.extend(decoder.push(code))
-        except DecodeError as exc:
-            error = exc
-            failed_frame = frame.index
-            failed_code_index = getattr(exc, "code_index", None)
-            failed_bit_offset = getattr(exc, "bit_offset", None)
-            notes.append(f"frame {frame.index} undecodable")
-            break
-        next_crc = zlib.crc32(pack_chars(frame_chars), chars_crc)
-        if frame_seal(decoder.snapshot(), next_crc) != frame.dict_digest:
-            error = DecodeError(
-                f"frame {frame.index} seal mismatch "
-                "(decoded content diverges from the writer's)",
-                frame=frame.index,
-            )
-            failed_frame = frame.index
-            notes.append(f"frame {frame.index} seal mismatch")
-            break
-        chars_crc = next_crc
+    kept = 0
+    for frame, frame_chars in walk.verified(scan.frames):
         chars.extend(frame_chars)
         codes_decoded += frame.num_codes
-        frames_kept += 1
+        kept += 1
         if rec.enabled:
             rec.incr(ev.STREAM_FRAMES_SALVAGED)
 
-    if failed_frame is not None and failed_frame + 1 < len(scan.frames):
-        notes.append(
-            f"frames {failed_frame + 1}..{len(scan.frames) - 1} not attempted"
-        )
-    if failed_frame is None and scan.error is not None:
+    error = walk.fault or scan.error
+    failed_frame = None if error is None else kept
+    if walk.fault is not None:
+        notes.append(walk.fault.message)
+        if kept + 1 < len(scan.frames):
+            notes.append(f"frames {kept + 1}..{len(scan.frames) - 1} not attempted")
+    elif scan.error is not None:
         reason = getattr(scan.error, "reason", None)
         if reason == "torn_tail":
             notes.append(
-                f"torn tail after frame {frames_kept - 1} (crash while "
+                f"torn tail after frame {kept - 1} (crash while "
                 "appending); complete frames recovered"
-                if frames_kept
+                if kept
                 else "torn tail before the first complete frame"
             )
         elif reason == "missing_terminal":
             notes.append(
                 "journal unsealed: no terminal frame (crash before "
-                f"finalize); {frames_kept} complete frames recovered"
+                f"finalize); {kept} complete frames recovered"
             )
         else:
             notes.append(
-                f"frame {len(scan.frames)} unreadable "
+                f"frame {kept} unreadable "
                 f"({scan.error.message}); later frames not attempted"
             )
-        failed_frame = len(scan.frames)
 
     if scan.terminal is not None:
         total_codes = scan.terminal.total_codes
@@ -313,220 +270,14 @@ def _salvage_stream(data: bytes, recorder=None) -> PartialDecodeResult:
         total_codes = sum(frame.num_codes for frame in scan.frames)
         notes.append("total code count unknown (journal unsealed)")
 
-    prefix = _chars_to_stream(chars, config, None)
-    complete = error is None and scan.terminal is not None
-    if complete:
-        total_bits = scan.terminal.total_original_bits
-        if total_bits > len(prefix):
-            error = DecodeError(
-                f"decoded {len(prefix)} bits but {total_bits} expected",
-                decoded_bits=len(prefix),
-                expected_bits=total_bits,
-            )
-            complete = False
-        else:
-            prefix = prefix[:total_bits]
-    return PartialDecodeResult(
-        stream=prefix,
-        chars=tuple(chars),
-        codes_decoded=codes_decoded,
-        total_codes=total_codes,
-        complete=complete,
-        error=error,
-        failed_code_index=failed_code_index,
-        failed_bit_offset=failed_bit_offset,
-        notes=tuple(notes),
-        failed_segment=failed_frame,
-    )
-
-
-def _salvage_multi(data: bytes) -> PartialDecodeResult:
-    """Segment-by-segment best-effort decode of a v3 container.
-
-    The segment table must be structurally sound (:func:`_parse_multi`
-    still raises on a torn table); a mismatching header CRC or segment
-    payload CRC is tolerated with a note, and the decode stops at the
-    first segment whose payload does not decode.
-    """
-    from ..container import (  # deferred: container imports core
-        V3_HEADER_CRC_OFFSET,
-        _parse_multi,
-        _segment_payload,
-    )
-
-    header = _parse_multi(data)
-    config = header.config
-    notes = []
-    actual_crc = zlib.crc32(data[:V3_HEADER_CRC_OFFSET] + header.table)
-    if actual_crc != header.header_crc:
-        notes.append("header CRC mismatch (tolerated)")
-    streams = []
-    chars = []
-    codes_decoded = 0
-    total_codes = sum(entry.num_codes for entry in header.segments)
-    for index, entry in enumerate(header.segments):
-        payload = _segment_payload(header, entry)
-        if zlib.crc32(payload) != entry.payload_crc:
-            notes.append(f"segment {index}: payload CRC mismatch (tolerated)")
-        reader = BitReader.from_bytes(payload, entry.payload_bits)
-        codes = []
-        while not reader.exhausted:
-            codes.append(reader.read(config.code_bits))
-        partial = _decode_partial_codes(tuple(codes), config, entry.original_bits)
-        codes_decoded += partial.codes_decoded
-        streams.append(partial.stream)
-        chars.extend(partial.chars)
-        if not partial.complete:
-            notes.append(
-                f"segment {index} undecodable; segments {index + 1}.."
-                f"{len(header.segments) - 1} not attempted"
-                if index + 1 < len(header.segments)
-                else f"segment {index} undecodable"
-            )
-            return PartialDecodeResult(
-                stream=TernaryVector.concat_all(streams),
-                chars=tuple(chars),
-                codes_decoded=codes_decoded,
-                total_codes=total_codes,
-                complete=False,
-                error=partial.error,
-                failed_code_index=partial.failed_code_index,
-                failed_bit_offset=partial.failed_bit_offset,
-                notes=tuple(notes),
-                failed_segment=index,
-            )
-    return PartialDecodeResult(
-        stream=TernaryVector.concat_all(streams),
-        chars=tuple(chars),
-        codes_decoded=codes_decoded,
-        total_codes=total_codes,
-        complete=True,
-        notes=tuple(notes),
-    )
-
-
-def _salvage_seeded(data: bytes) -> PartialDecodeResult:
-    """Segment-by-segment best-effort decode of a seeded (v4) container.
-
-    Same stop-at-first-failure structure as :func:`_salvage_multi`,
-    with seeding on top: a blob-seeded segment whose seed blob is
-    unreadable (CRC, parse or config mismatch) is undecodable — a
-    corrupt dictionary would expand every code to the wrong string, so
-    no partial output is attempted from it; a chained segment whose
-    predecessor did not decode in full has no derivable seed and stops
-    the salvage the same way.
-    """
-    from ..container import (  # deferred: container imports core
-        SEED_BLOB,
-        SEED_CHAIN,
-        V4_HEADER_CRC_OFFSET,
-        _load_blob,
-        _parse_seeded,
-        _seeded_payload,
-    )
-    from ..core.decoder import derive_final_snapshot
-
-    header = _parse_seeded(data, strict=False)
-    config = header.config
-    notes = []
-    actual_crc = zlib.crc32(data[:V4_HEADER_CRC_OFFSET] + header.tables)
-    if actual_crc != header.header_crc:
-        notes.append("header CRC mismatch (tolerated)")
-    snapshots = {}
-    for index in range(len(header.blobs)):
+    prefix = _chars_to_stream(chars, scan.config, None)
+    if error is None:
         try:
-            snapshots[index] = _load_blob(header, index)
-        except (ReproError, SnapshotError) as exc:
-            notes.append(f"seed blob {index} unreadable: {exc.message}")
-    streams = []
-    chars = []
-    codes_decoded = 0
-    total_codes = sum(entry.num_codes for entry in header.segments)
-    prev_state = None  # (codes, seed, link) of the last complete segment
-
-    def stop(index, partial=None, error=None):
-        if index + 1 < len(header.segments):
-            notes.append(
-                f"segment {index} undecodable; segments {index + 1}.."
-                f"{len(header.segments) - 1} not attempted"
-            )
-        else:
-            notes.append(f"segment {index} undecodable")
-        return PartialDecodeResult(
-            stream=TernaryVector.concat_all(streams),
-            chars=tuple(chars),
-            codes_decoded=codes_decoded,
-            total_codes=total_codes,
-            complete=False,
-            error=partial.error if partial is not None else error,
-            failed_code_index=(
-                partial.failed_code_index if partial is not None else None
-            ),
-            failed_bit_offset=(
-                partial.failed_bit_offset if partial is not None else None
-            ),
-            notes=tuple(notes),
-            failed_segment=index,
-        )
-
-    for index, entry in enumerate(header.segments):
-        payload = _seeded_payload(header, entry)
-        payload_bits = entry.payload_bits
-        if len(payload) < (entry.payload_bits + 7) // 8:
-            notes.append(f"segment {index}: payload truncated (tolerated)")
-            payload_bits = min(payload_bits, len(payload) * 8)
-            payload_bits -= payload_bits % config.code_bits
-        elif zlib.crc32(payload) != entry.payload_crc:
-            notes.append(f"segment {index}: payload CRC mismatch (tolerated)")
-        reader = BitReader.from_bytes(payload, payload_bits)
-        codes = []
-        while not reader.exhausted:
-            codes.append(reader.read(config.code_bits))
-        seed = link = None
-        if entry.seed_mode == SEED_BLOB:
-            seed = snapshots.get(entry.blob_index)
-            if seed is None:
-                return stop(
-                    index,
-                    error=SnapshotError(
-                        f"segment {index} seeds from unreadable blob "
-                        f"{entry.blob_index}",
-                        segment=index,
-                        blob=entry.blob_index,
-                    ),
-                )
-        elif entry.seed_mode == SEED_CHAIN:
-            if prev_state is None:
-                return stop(
-                    index,
-                    error=DecodeError(
-                        f"segment {index} chains from an incomplete "
-                        "predecessor; its seed cannot be derived",
-                        segment=index,
-                    ),
-                )
-            prev_codes, prev_seed, prev_link = prev_state
-            try:
-                seed = derive_final_snapshot(
-                    prev_codes, config, seed=prev_seed, link=prev_link
-                )
-            except (DecodeError, SnapshotError) as exc:
-                return stop(index, error=exc)
-            link = prev_codes[-1] if prev_codes else prev_link
-        partial = _decode_partial_codes(
-            tuple(codes), config, entry.original_bits, seed=seed, link=link
-        )
-        codes_decoded += partial.codes_decoded
-        streams.append(partial.stream)
-        chars.extend(partial.chars)
-        if not partial.complete:
-            return stop(index, partial=partial)
-        prev_state = (tuple(codes), seed, link)
-    return PartialDecodeResult(
-        stream=TernaryVector.concat_all(streams),
-        chars=tuple(chars),
-        codes_decoded=codes_decoded,
-        total_codes=total_codes,
-        complete=True,
-        notes=tuple(notes),
+            total_bits = scan.terminal.total_original_bits
+            prefix = _chars_to_stream(chars, scan.config, total_bits)
+        except DecodeError as exc:
+            error = exc
+    located = error if walk.fault is None else walk.fault.__cause__
+    return _result(
+        prefix, chars, codes_decoded, total_codes, error, notes, failed_frame, located
     )

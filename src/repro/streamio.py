@@ -84,7 +84,16 @@ from __future__ import annotations
 import hashlib
 import struct
 import zlib
-from typing import BinaryIO, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    BinaryIO,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .bitstream import BitReader, BitWriter, TernaryVector
 from .core import DictionarySnapshot, LZWConfig
@@ -197,8 +206,14 @@ def stream_header_bytes(config: LZWConfig) -> bytes:
     return without_crc[:V5_HEADER_CRC_OFFSET] + struct.pack(">I", crc)
 
 
-def read_stream_header(data: bytes) -> LZWConfig:
-    """Parse and CRC-check a v5 stream header; returns the config."""
+def _parse_stream_header(data: bytes) -> Tuple[LZWConfig, Optional[ContainerError]]:
+    """Read a v5 stream header: its configuration and its integrity fault.
+
+    Raises :class:`ContainerError` when the bytes are not a v5 header
+    at all (cut short, wrong magic or version, invalid configuration).
+    A CRC mismatch or unknown flag bits come back as the fault instead,
+    so a verifier can report a recognised header that fails its check.
+    """
     if len(data) < V5_HEADER_SIZE:
         raise ContainerError(
             "truncated v5 stream header",
@@ -216,17 +231,8 @@ def read_stream_header(data: bytes) -> LZWConfig:
     _, _, char_bits, dict_size, entry_bits, flags, header_crc = _HEADER_V5.unpack_from(
         data
     )
-    actual = zlib.crc32(data[:V5_HEADER_CRC_OFFSET])
-    if actual != header_crc:
-        raise ContainerError(
-            "stream header CRC mismatch (corrupted header)",
-            byte_offset=V5_HEADER_CRC_OFFSET,
-            expected=header_crc,
-            actual=actual,
-            reason="header_crc",
-        )
     try:
-        return LZWConfig(
+        config = LZWConfig(
             char_bits=char_bits,
             dict_size=dict_size,
             entry_bits=entry_bits,
@@ -237,6 +243,30 @@ def read_stream_header(data: bytes) -> LZWConfig:
             f"invalid configuration in stream header: {exc.message}",
             field=getattr(exc, "field", None),
         ) from None
+    actual = zlib.crc32(data[:V5_HEADER_CRC_OFFSET])
+    if actual != header_crc:
+        return config, ContainerError(
+            "stream header CRC mismatch (corrupted header)",
+            byte_offset=V5_HEADER_CRC_OFFSET,
+            expected=header_crc,
+            actual=actual,
+            reason="header_crc",
+        )
+    if flags & ~_FLAG_RESET_ON_FULL:
+        return config, ContainerError(
+            f"unknown stream header flags 0x{flags:02x}",
+            byte_offset=V5_HEADER_CRC_OFFSET - 1,  # the byte before the CRC
+            field="flags",
+        )
+    return config, None
+
+
+def read_stream_header(data: bytes) -> LZWConfig:
+    """Parse and check a v5 stream header; returns the config."""
+    config, fault = _parse_stream_header(data)
+    if fault is not None:
+        raise fault
+    return config
 
 
 def terminal_frame_bytes(
@@ -698,6 +728,111 @@ def scan_stream(data: bytes) -> StreamScan:
     )
 
 
+class _FrameWalk:
+    """The one v5 frame walk: decode each frame, check its seal and
+    cumulative original bits, then check the terminal.
+
+    Feed the data frames in order to :meth:`step` (or iterate
+    :meth:`verified`) and the terminal to :meth:`finish`.  The first
+    fault lands in :attr:`fault` as a typed :class:`ContainerError`
+    (``reason`` ``frame_decode``, ``dict_digest`` or
+    ``original_bits``; an undecodable code's :class:`DecodeError` is
+    its ``__cause__``).  Past it the decoder state has diverged, so
+    each caller — strict decode, verify, salvage, fsck rebuild —
+    decides only what to do at that point.
+    """
+
+    def __init__(self, config: LZWConfig, recorder: Optional[Recorder] = None) -> None:
+        self.config = config
+        self.decoder = StreamDecoder(config, recorder=recorder)
+        self.chars_crc = 0
+        self.last_cum_bits = 0
+        self.fault: Optional[ContainerError] = None
+
+    def step(self, frame: FrameRecord) -> Tuple[int, ...]:
+        """Decode one frame; returns its characters (a prefix on a fault)."""
+        decoder = self.decoder
+        chars: List[int] = []
+        try:
+            for code in frame.codes:
+                chars.extend(decoder.push(code))
+        except DecodeError as exc:
+            self.fault = ContainerError(
+                f"frame[{frame.index}] undecodable: {exc.message}",
+                frame=frame.index,
+                reason="frame_decode",
+            )
+            self.fault.__cause__ = exc
+            return tuple(chars)
+        chars_crc = zlib.crc32(pack_chars(chars), self.chars_crc)
+        actual_seal = frame_seal(decoder.snapshot(), chars_crc)
+        char_bits = self.config.char_bits
+        cum_bits = decoder.chars_decoded * char_bits
+        # Mid-stream frames carry exact cumulative bits; only the very
+        # last frame may clamp below chars*char_bits (the X-padded
+        # partial character), by strictly less than one character.
+        diff = cum_bits - frame.original_bits_cum
+        if actual_seal != frame.dict_digest:
+            self.fault = ContainerError(
+                f"frame[{frame.index}] seal mismatch "
+                "(decoded content diverges from the writer's)",
+                frame=frame.index,
+                expected=frame.dict_digest.hex(),
+                actual=actual_seal.hex(),
+                reason="dict_digest",
+            )
+        elif (
+            diff < 0
+            or diff >= char_bits
+            or frame.original_bits_cum < self.last_cum_bits
+        ):
+            self.fault = ContainerError(
+                f"frame[{frame.index}] cumulative original_bits "
+                f"{frame.original_bits_cum} inconsistent with decode "
+                f"({cum_bits} bits decoded)",
+                frame=frame.index,
+                expected=cum_bits,
+                actual=frame.original_bits_cum,
+                reason="original_bits",
+            )
+        else:
+            self.chars_crc = chars_crc
+            self.last_cum_bits = frame.original_bits_cum
+        return tuple(chars)
+
+    def verified(
+        self, frames: Iterable[FrameRecord]
+    ) -> Iterator[Tuple[FrameRecord, Tuple[int, ...]]]:
+        """Yield ``(frame, chars)`` per frame that verifies, up to the first fault."""
+        for frame in frames:
+            chars = self.step(frame)
+            if self.fault is not None:
+                return
+            yield frame, chars
+
+    def finish(self, terminal: TerminalRecord) -> Optional[ContainerError]:
+        """The terminal's fault: its seal or its total bits disagree."""
+        actual_seal = frame_seal(self.decoder.snapshot(), self.chars_crc)
+        if actual_seal != terminal.dict_digest:
+            return ContainerError(
+                "terminal seal mismatch",
+                expected=terminal.dict_digest.hex(),
+                actual=actual_seal.hex(),
+                reason="dict_digest",
+            )
+        total_bits = terminal.total_original_bits
+        decoded_bits = self.decoder.chars_decoded * self.config.char_bits
+        if not 0 <= decoded_bits - total_bits < self.config.char_bits:
+            return ContainerError(
+                f"terminal declares {total_bits} original bits, decode "
+                f"produced {decoded_bits}",
+                expected=total_bits,
+                actual=decoded_bits,
+                reason="original_bits",
+            )
+        return None
+
+
 def iter_decode_stream(
     reader: StreamContainerReader, recorder: Optional[Recorder] = None
 ):
@@ -710,74 +845,12 @@ def iter_decode_stream(
     terminal's seal and totals are verified at the end.  Bounded
     memory: only one frame's codes and expansions are live at a time.
     """
-    config = reader.config
-    decoder = StreamDecoder(config, recorder=recorder)
-    char_bits = config.char_bits
-    last_cum_bits = 0
-    chars_crc = 0
-    for frame in reader.frames():
-        chars: List[int] = []
-        try:
-            for code in frame.codes:
-                chars.extend(decoder.push(code))
-        except DecodeError as exc:
-            raise ContainerError(
-                f"frame[{frame.index}] undecodable: {exc.message}",
-                frame=frame.index,
-                reason="frame_decode",
-            ) from exc
-        chars_crc = zlib.crc32(pack_chars(chars), chars_crc)
-        actual_seal = frame_seal(decoder.snapshot(), chars_crc)
-        if actual_seal != frame.dict_digest:
-            raise ContainerError(
-                f"frame[{frame.index}] seal mismatch "
-                "(decoded content diverges from the writer's)",
-                frame=frame.index,
-                expected=frame.dict_digest.hex(),
-                actual=actual_seal.hex(),
-                reason="dict_digest",
-            )
-        cum_bits = decoder.chars_decoded * char_bits
-        # Mid-stream frames carry exact cumulative bits; only the very
-        # last frame may clamp below chars*char_bits (the X-padded
-        # partial character), by strictly less than one character.
-        diff = cum_bits - frame.original_bits_cum
-        if diff < 0 or diff >= char_bits or frame.original_bits_cum < last_cum_bits:
-            raise ContainerError(
-                f"frame[{frame.index}] cumulative original_bits "
-                f"{frame.original_bits_cum} inconsistent with decode "
-                f"({cum_bits} bits decoded)",
-                frame=frame.index,
-                expected=cum_bits,
-                actual=frame.original_bits_cum,
-                reason="original_bits",
-            )
-        last_cum_bits = frame.original_bits_cum
-        yield tuple(chars), frame
-    terminal = reader.terminal
-    if terminal is None:  # pragma: no cover — frames() raises first
-        raise ContainerError(
-            "stream ends without a terminal frame (unsealed journal)",
-            reason="missing_terminal",
-        )
-    actual_seal = frame_seal(decoder.snapshot(), chars_crc)
-    if actual_seal != terminal.dict_digest:
-        raise ContainerError(
-            "terminal seal mismatch",
-            expected=terminal.dict_digest.hex(),
-            actual=actual_seal.hex(),
-            reason="dict_digest",
-        )
-    total_bits = terminal.total_original_bits
-    decoded_bits = decoder.chars_decoded * char_bits
-    if not (0 <= decoded_bits - total_bits < char_bits or decoded_bits == total_bits):
-        raise ContainerError(
-            f"terminal declares {total_bits} original bits, decode "
-            f"produced {decoded_bits}",
-            expected=total_bits,
-            actual=decoded_bits,
-            reason="original_bits",
-        )
+    walk = _FrameWalk(reader.config, recorder)
+    for frame, chars in walk.verified(reader.frames()):
+        yield chars, frame
+    fault = walk.fault or walk.finish(reader.terminal)
+    if fault is not None:
+        raise fault
 
 
 def decode_stream_bytes(

@@ -11,6 +11,10 @@ exist to catch: ``repro fsck`` must classify each one ``clean`` and a
 ``--repair`` pass must not churn a byte (see
 ``tests/reliability/test_fsck.py``).
 
+``tests/test_fixtures.py`` asserts that :func:`build` still reproduces
+every committed file, so a writer change that alters a byte fails the
+tier-1 suite instead of waiting for someone to rerun this script.
+
 ``v1.lzwt`` is hand-packed: the v1 format is read-only legacy, so the
 generator wraps a modern payload in the historical 34-byte header.
 """
@@ -52,10 +56,8 @@ def v1_bytes(v2: bytes) -> bytes:
     ) + payload
 
 
-def main() -> int:
-    out = Path(__file__).parent / "containers"
-    out.mkdir(exist_ok=True)
-
+def build() -> dict:
+    """Every fixture as ``file name -> bytes``, built from the codec."""
     rng = random.Random(20030309)
     stream_a = TernaryVector.random(480, x_density=0.6, rng=rng)
     stream_b = TernaryVector.random(320, x_density=0.4, rng=rng)
@@ -86,7 +88,7 @@ def main() -> int:
     writer.finalize(encoder.finalize(), encoder.original_bits)
     v5 = sink.getvalue()
 
-    fixtures = {
+    return {
         "v1.lzwt": v1_bytes(v2),
         "v2.lzwt": v2,
         "v3.lzwt": v3,
@@ -94,7 +96,12 @@ def main() -> int:
         "v5.lzwt": v5,
         "dict.lzws": snapshot.to_bytes(),
     }
-    for name, data in fixtures.items():
+
+
+def main() -> int:
+    out = Path(__file__).parent / "containers"
+    out.mkdir(exist_ok=True)
+    for name, data in build().items():
         path = out / name
         changed = not path.exists() or path.read_bytes() != data
         path.write_bytes(data)

@@ -17,7 +17,7 @@ from repro.container import (
     V3_SEGMENT_TABLE_OFFSET,
     load_segments,
 )
-from repro.core import LZWConfig, compress_batch
+from repro.core import LZWConfig, compress_batch, decode
 from repro.reliability.salvage import salvage_container
 from repro.reliability.verify import verify_container
 
@@ -121,3 +121,23 @@ def test_partial_decode_counts_cover_all_segments(container):
     total_codes = sum(e[3] for e in _entries(container))
     assert result.total_codes == total_codes
     assert result.codes_decoded < total_codes
+
+
+def test_truncated_container_recovers_every_intact_segment(container):
+    # Cutting the tail off a v3 file damages only its last segment: the
+    # tolerant walk clamps that segment's payload and salvage returns
+    # the decodable prefix, as it does for truncated v2 and v4 files.
+    entries = _entries(container)
+    last = len(entries) - 1
+    cut = container[:-20]
+    assert _segment_bounds(container, last)[0] < len(cut)
+    result = salvage_container(cut)
+    assert not result.complete
+    assert result.failed_segment == last
+    intact_bits = sum(e[1] for e in entries[:last])
+    assert result.recovered_bits >= intact_bits
+    full = TernaryVector.concat_all(
+        [decode(part) for part in load_segments(container)]
+    )
+    assert result.stream == full[: result.recovered_bits]
+    assert any("clamped" in note for note in result.notes)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.container import HEADER_SIZE
+from repro.container import HEADER_CRC_OFFSET, HEADER_SIZE
 from repro.reliability.inject import inject
 from repro.reliability.verify import verify_container
 
@@ -55,6 +55,23 @@ class TestVerifyContainer:
         assert report.exit_code == 4
         failed = {check.name for check in report.checks if not check.ok}
         assert "header-crc" in failed
+
+    def test_header_crc_flip_fails_only_header_crc(self, campaign_container):
+        # Each stage is judged on its own bytes: a flipped stored header
+        # CRC fails header-crc, while the untouched payload still passes
+        # its CRC, decodes and matches its digest.
+        corrupted = bytearray(campaign_container)
+        corrupted[HEADER_CRC_OFFSET + 1] ^= 0x01
+        report = verify_container(bytes(corrupted))
+        assert report.exit_code == 4
+        verdicts = {check.name: check.ok for check in report.checks}
+        assert verdicts == {
+            "header": True,
+            "header-crc": False,
+            "payload-crc": True,
+            "decode": True,
+            "stream-digest": True,
+        }
 
     def test_crc_tamper_fails_stream_digest(
         self, campaign_container, campaign_original
