@@ -1,6 +1,8 @@
-"""Bit-level substrate: ternary vectors, chunking and variable-width I/O."""
+"""Bit-level substrate: ternary vectors, chunking, variable-width I/O and
+fixed-width code packing."""
 
 from .bitio import BitReader, BitWriter
+from .codepack import pack_codes, unpack_codes
 from .packing import from_characters, pad_length, to_characters
 from .ternary import TernaryVector, X
 
@@ -10,6 +12,8 @@ __all__ = [
     "TernaryVector",
     "X",
     "from_characters",
+    "pack_codes",
     "pad_length",
     "to_characters",
+    "unpack_codes",
 ]

@@ -130,7 +130,7 @@ from contextlib import nullcontext
 from pathlib import Path
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .bitstream import BitReader, BitWriter, TernaryVector
+from .bitstream import TernaryVector, pack_codes, unpack_codes
 from .core import (
     CompressedStream,
     DictionarySnapshot,
@@ -627,16 +627,6 @@ def _stage_name(model: _Container, index: int, stage: str) -> str:
     return stage if model.single else f"segment[{index}] {stage}"
 
 
-def _read_codes(
-    payload: bytes, payload_bits: int, config: LZWConfig
-) -> Tuple[int, ...]:
-    reader = BitReader.from_bytes(payload, payload_bits)
-    codes = []
-    while not reader.exhausted:
-        codes.append(reader.read(config.code_bits))
-    return tuple(codes)
-
-
 def _decode_prefix(
     codes: Sequence[int],
     config: LZWConfig,
@@ -800,7 +790,7 @@ def _walk_segment(
         return fail("payload-crc", faults[0][0])
     bits = min(bits, len(payload) * 8)
     step = step._replace(
-        codes=_read_codes(payload, bits - bits % width, config),
+        codes=unpack_codes(payload, bits // width, width),
         notes=tuple(f"{prefix}{tolerated}" for _, tolerated in faults),
     )
     if not tolerant:
@@ -1076,17 +1066,14 @@ def _pack(
         offset = 0
         width = config.code_bits
         for part, stream, seed in zip(parts, streams, seeds):
-            writer = BitWriter()
-            for code in part.codes:
-                writer.write(code, width)
-            payload = writer.to_bytes()
+            payload = pack_codes(part.codes, width)
             if stream is None:
                 stream = decode(part, seed=seed.snapshot, link=seed.link)
             entries.append(
                 dict(
                     offset=offset,
                     original_bits=part.original_bits,
-                    payload_bits=writer.bit_length,
+                    payload_bits=len(part.codes) * width,
                     num_codes=len(part.codes),
                     payload_crc=zlib.crc32(payload),
                     stream_crc=stream_digest(stream),

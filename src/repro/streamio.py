@@ -95,7 +95,7 @@ from typing import (
     Tuple,
 )
 
-from .bitstream import BitReader, BitWriter, TernaryVector
+from .bitstream import TernaryVector, pack_codes, unpack_codes
 from .core import DictionarySnapshot, LZWConfig
 from .core.stream import StreamDecoder, StreamEncoder, chars_to_vector
 from .observability import NULL_RECORDER, Recorder
@@ -178,17 +178,7 @@ def frame_seal(snapshot: DictionarySnapshot, chars_crc: int) -> bytes:
 
 def pack_frame_payload(codes: Sequence[int], code_bits: int) -> bytes:
     """Pack codes MSB-first, zero-padded to a byte boundary."""
-    writer = BitWriter()
-    for code in codes:
-        writer.write(code, code_bits)
-    return writer.to_bytes()
-
-
-def _unpack_frame_payload(
-    payload: bytes, num_codes: int, code_bits: int
-) -> Tuple[int, ...]:
-    reader = BitReader.from_bytes(payload, num_codes * code_bits)
-    return tuple(reader.read(code_bits) for _ in range(num_codes))
+    return pack_codes(codes, code_bits)
 
 
 def stream_header_bytes(config: LZWConfig) -> bytes:
@@ -600,7 +590,7 @@ class StreamContainerReader:
                     frame=index,
                     reason="chain_crc",
                 )
-            codes = _unpack_frame_payload(payload, num_codes, self.config.code_bits)
+            codes = unpack_codes(payload, num_codes, self.config.code_bits)
             self._next_index += 1
             self._total_codes += num_codes
             if self.recorder.enabled:

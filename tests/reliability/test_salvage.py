@@ -114,6 +114,33 @@ class TestSalvageContainer:
                    for note in result.notes)
         assert result.recovered_bits > 0
 
+    def test_every_truncation_matches_the_per_bit_reader(self, good):
+        # A cut payload is the one unpack whose length is not a whole
+        # number of eight-code blocks; the clamp must keep exactly the
+        # whole codes a per-bit reader would.
+        from repro.bitstream import BitReader
+        from repro.core import iter_decode
+
+        data = dump_bytes(good)
+        payload = data[HEADER_SIZE:]
+        width = good.config.code_bits
+        assert width % 8 and len(good.codes) % 8
+        for cut in range(len(payload) + 1):
+            bits = min(len(good.codes) * width, 8 * cut)
+            reader = BitReader.from_bytes(payload[:cut], bits - bits % width)
+            codes = []
+            while not reader.exhausted:
+                codes.append(reader.read(width))
+            chars = [
+                char
+                for _, expansion in iter_decode(codes, good.config)
+                for char in expansion
+            ]
+            result = salvage_container(data[: HEADER_SIZE + cut])
+            assert result.codes_decoded == len(codes), cut
+            assert list(result.chars) == chars, cut
+            assert result.complete == (cut == len(payload)), cut
+
     def test_unusable_header_still_raises(self, campaign_container):
         with pytest.raises(ContainerError, match="magic"):
             salvage_container(b"JUNK" + campaign_container[4:])
