@@ -1,7 +1,8 @@
-"""Crash-point durability campaign — the CI durability smoke job's driver.
+"""Crash-point durability campaign: the artefact writers and their contracts.
 
-Replays a simulated power cut at **every** I/O boundary of every
-artefact writer in the package (atomic v2/v3/v4 containers, the v5
+The ``crash`` section of ``fault_campaign.py`` replays a simulated
+power cut at **every** I/O boundary of every artefact writer that
+:func:`build_specs` lists (atomic v2/v3/v4 containers, the v5
 streaming frame journal, the batch checkpoint journal, LZWS snapshot
 blobs, fleet cache entries, metrics reports), expands each cut over the
 page-cache-survival × metadata-survival grid, and classifies the
@@ -25,24 +26,18 @@ second arm injects ``ENOSPC`` at every write/fsync and requires a typed
 :class:`ReproError` (or a documented silent-advisory path, e.g. the
 cache) — an untyped exception is ``escaped``.
 
-Usage::
+Run it with::
 
-    PYTHONPATH=src python benchmarks/durability_campaign.py \
+    PYTHONPATH=src python benchmarks/fault_campaign.py crash \
         -o DURABILITY_report.json
 
-Exit status 0 when zero ``silent``/``escaped`` outcomes occurred, 1
-otherwise; the JSON report is written either way (it is the CI
-artifact).  Everything is deterministic — a red crash point reproduces
-exactly from its ``(writer, op index, survival, meta)`` coordinates.
+Everything is deterministic — a red crash point reproduces exactly from
+its ``(writer, op index, survival, meta)`` coordinates.
 """
 
-import argparse
 import hashlib
 import json
 import random
-import sys
-import tempfile
-import time
 from pathlib import Path
 
 from repro.bitstream import TernaryVector
@@ -60,11 +55,7 @@ from repro.fleet.cache import ResultCache
 from repro.parallel.engine import ShardResult
 from repro.parallel.journal import ShardJournal
 from repro.reliability.atomic import DurableAppendFile, atomic_write_bytes, atomic_write_text
-from repro.reliability.crashsim import (
-    CrashWriterSpec,
-    campaign_report,
-    run_crash_campaign,
-)
+from repro.reliability.crashsim import CrashWriterSpec
 from repro.reliability.errors import ConfigError, ContainerError
 from repro.reliability.fsck import fsck_paths
 from repro.reliability.salvage import salvage_container
@@ -406,54 +397,3 @@ def build_specs():
         _snapshot_spec(),
         _report_spec(),
     ]
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    all_names = [spec.name for spec in build_specs()]
-    parser.add_argument(
-        "--writers", nargs="*", default=all_names, choices=all_names,
-        help="artefact writers to campaign (default: all)",
-    )
-    parser.add_argument(
-        "-o", "--output", default="DURABILITY_report.json",
-        help="report path (default DURABILITY_report.json)",
-    )
-    args = parser.parse_args(argv)
-
-    specs = [spec for spec in build_specs() if spec.name in args.writers]
-    started = time.perf_counter()
-    results = []
-    with tempfile.TemporaryDirectory(prefix="durability-") as tmp:
-        for spec in specs:
-            workdir = Path(tmp) / spec.name
-            workdir.mkdir()
-            result = run_crash_campaign(spec, workdir)
-            results.append(result)
-            print(result.summary())
-    elapsed = time.perf_counter() - started
-
-    report = campaign_report(results)
-    report["writers_run"] = [spec.name for spec in specs]
-    report["seconds"] = round(elapsed, 3)
-    Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
-
-    ok = report["ok"]
-    totals = report["totals"]
-    print(
-        f"{totals['points']} crash points, {totals['unique_states']} unique "
-        f"states, {totals['failures']} failures; {elapsed:.1f}s, report "
-        f"written to {args.output}"
-    )
-    if not ok:
-        print(
-            "DURABILITY CAMPAIGN FAILED: silent corruption or escaped "
-            "exception at a crash point",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -15,11 +15,11 @@ robustness contract:
   valid final ``repro.metrics/1`` snapshot, and each surviving backend
   drains to exit 0 afterwards.
 
-Modes (CI runs the first two)::
+Modes (CI runs both; the oracle-checked fault campaign is the
+``fleet`` section of ``fault_campaign.py``)::
 
     PYTHONPATH=src python benchmarks/fleet_soak.py --smoke \
         --report FLEET_report.json        # golden gate + mid-run kill
-    PYTHONPATH=src python benchmarks/fleet_soak.py --chaos --seeds 3
     PYTHONPATH=src python benchmarks/fleet_soak.py \
         --scenario kill_midburst --seconds 20
 
@@ -31,7 +31,6 @@ violation listed on stderr (and in the ``--report`` JSON).
 """
 
 import argparse
-import json
 import shutil
 import sys
 import tempfile
@@ -52,7 +51,6 @@ from service_soak import (  # noqa: E402 - sibling module, not a package
     _workload_texts,
 )
 
-from repro.fleet.chaos import run_campaign  # noqa: E402
 from repro.fleet.procs import spawn_backend, stop_backend  # noqa: E402
 from repro.service import ServiceClient  # noqa: E402
 
@@ -181,39 +179,6 @@ def run_smoke(report_path=None):
     )
 
 
-def run_chaos(seeds, requests, report_path=None):
-    """The oracle-checked fault campaign (see repro.fleet.chaos)."""
-    work_dir = Path(tempfile.mkdtemp(prefix="fleet-chaos-"))
-    try:
-        campaign = run_campaign(
-            list(range(seeds)), work_dir, requests=requests
-        )
-    finally:
-        shutil.rmtree(work_dir, ignore_errors=True)
-    if report_path:
-        Path(report_path).write_text(json.dumps(campaign, indent=2) + "\n")
-        print(f"wrote {report_path}")
-    for trial in campaign["trials"]:
-        status = "ok" if trial["ok"] else "FAILED"
-        print(
-            f"  {trial['fault']} seed={trial['seed']}: "
-            f"{trial['outcomes']} [{status}]"
-        )
-    totals = campaign["totals"]
-    print(f"chaos totals: {totals}")
-    if not campaign["ok"]:
-        bad = [t for t in campaign["trials"] if not t["ok"]]
-        print(f"chaos FAILED: {len(bad)} trial(s) violated the contract",
-              file=sys.stderr)
-        for trial in bad:
-            print(f"  - {trial['fault']} seed={trial['seed']}: "
-                  f"{trial['outcomes']} notes={trial['notes']}",
-                  file=sys.stderr)
-        return 1
-    print("chaos passed: zero silent corruption, zero untyped outcomes")
-    return 0
-
-
 def _hot_key_client(address, corpus, stats, stop):
     """Skewed traffic: ~80% of requests hammer one hot workload."""
     try:
@@ -326,16 +291,6 @@ def main(argv=None):
         help="golden gate: byte-equality, mid-run backend kill, drain",
     )
     parser.add_argument(
-        "--chaos", action="store_true",
-        help="oracle-checked fault campaign over FLEET_FAULTS",
-    )
-    parser.add_argument(
-        "--seeds", type=int, default=2, help="seeds per chaos fault"
-    )
-    parser.add_argument(
-        "--requests", type=int, default=12, help="requests per chaos trial"
-    )
-    parser.add_argument(
         "--scenario", choices=SCENARIOS, help="traffic-shape scenario"
     )
     parser.add_argument(
@@ -345,11 +300,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.smoke:
         return run_smoke(args.report)
-    if args.chaos:
-        return run_chaos(args.seeds, args.requests, args.report)
     if args.scenario:
         return run_scenario(args.scenario, args.seconds, args.report)
-    parser.error("pick a mode: --smoke, --chaos or --scenario")
+    parser.error("pick a mode: --smoke or --scenario")
 
 
 if __name__ == "__main__":

@@ -43,17 +43,15 @@ from pathlib import Path
 
 from repro.container import dump_bytes
 from repro.core import LZWConfig, compress
+from repro.reliability.campaign import TrialOutcome, classify_reply
 from repro.reliability.chaos import CLIENT_FAULTS, ClientFaultPlan
 from repro.reliability.errors import ProtocolError
-from repro.service import CODE_OK, ServiceClient
+from repro.service import ServiceClient
 from repro.testfile import format_test_text
 from repro.workloads import build_testset
 
 #: The golden corpus (mirrors tests/golden): name, scale.
 WORKLOADS = (("s5378f", 0.12), ("s9234f", 0.08), ("s35932f", 0.25))
-
-#: Reply codes a well-formed request may legitimately receive.
-EXPECTED_CODES = frozenset({CODE_OK, 408, 429, 500, 503})
 
 #: Server tuning for the soak: tight enough that shedding and the
 #: breaker actually fire under the fleet's load.
@@ -104,18 +102,16 @@ class Stats:
 
 
 def _check_reply(stats, label, header):
-    """Every reply must be structured: ok, or a typed coded error."""
-    code = header.get("code")
-    if header.get("ok"):
+    """Every reply must be structured: ok, or a typed error with an
+    expected code (:func:`repro.reliability.campaign.classify_reply`)."""
+    outcome = classify_reply(header)
+    if outcome is TrialOutcome.CORRECT:
         stats.count(f"{label}.ok")
         return True
-    error = header.get("error")
-    if not isinstance(error, dict) or "type" not in error:
-        stats.violation(f"{label}: untyped error reply: {header}")
-    elif code not in EXPECTED_CODES:
-        stats.violation(f"{label}: unexpected reply code {code}: {header}")
+    if outcome is TrialOutcome.DETECTED:
+        stats.count(f"{label}.code_{header.get('code')}")
     else:
-        stats.count(f"{label}.code_{code}")
+        stats.violation(f"{label}: untyped or unexpected-code reply: {header}")
     return False
 
 
@@ -221,17 +217,17 @@ def _fault_client(fault, address, stats, stop):
                 stats.violation(f"{fault}: connect failed: {exc}")
             return
         reply = outcome["reply"]
-        if fault == "disconnect":
+        if plan.classify(outcome) is not TrialOutcome.DETECTED:
+            stats.violation(
+                f"{fault}: expected a typed expected-code reply or a close, "
+                f"got {outcome}"
+            )
+        elif fault == "disconnect":
             stats.count(f"{fault}.sent")
         elif reply is not None:
-            if reply.get("ok") or "error" not in reply:
-                stats.violation(f"{fault}: expected typed error, got {reply}")
-            else:
-                stats.count(f"{fault}.code_{reply.get('code')}")
-        elif outcome["closed"]:
-            stats.count(f"{fault}.closed")
+            stats.count(f"{fault}.code_{reply.get('code')}")
         else:
-            stats.violation(f"{fault}: no reply and no close (leaked thread?)")
+            stats.count(f"{fault}.closed")
         turn += 1
         time.sleep(0.1)
 

@@ -3,23 +3,14 @@
 Each trial runs one :class:`~repro.reliability.chaos.FleetFaultPlan`
 against a real fleet — three ``repro serve`` subprocesses behind an
 in-process :class:`~repro.fleet.dispatcher.FleetDispatcher` — and
-classifies **every** request's outcome against the serial oracle
-(:func:`repro.core.compress` on the same input):
-
-``correct``
-    an ``ok`` reply whose container is byte-identical to the oracle's;
-``typed_error``
-    a structured error reply with a documented code (408/429/500/503) —
-    honest shedding under the injected fault;
-``silent_corruption``
-    an ``ok`` reply whose bytes differ from the oracle — the one
-    outcome the whole robustness stack exists to make impossible;
-``untyped``
-    anything else (hang, unstructured reply, unexpected code).
-
-The campaign passes only when every trial reports **zero**
-``silent_corruption`` and zero ``untyped`` outcomes, across every
-fault class and seed.
+classifies **every** reply against the serial oracle
+(:func:`repro.core.compress` on the same input) with
+:func:`~repro.reliability.campaign.classify_reply`: a byte-identical
+``ok`` reply is correct, a typed error with a documented code is
+detected (honest shedding under the fault), an ``ok`` reply with other
+bytes is silent, anything else is escaped.  The trial takes the worst
+of its replies; a trial *note* (a transport failure, no cache entry to
+tamper, a tampered entry never detected) makes it escaped.
 
 Fault implementations (the plan decides *when/who*, this module acts):
 
@@ -40,11 +31,12 @@ import socket
 import threading
 import random
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..container import dump_bytes
 from ..core import LZWConfig, compress
 from ..observability import schema as ev
+from ..reliability.campaign import CampaignResult, Trial, TrialOutcome, classify_reply
 from ..reliability.chaos import FLEET_FAULTS, FleetFaultPlan
 from ..reliability.errors import ProtocolError
 from ..service.protocol import ServiceClient
@@ -54,9 +46,6 @@ from .dispatcher import FleetConfig, FleetDispatcher
 from .procs import BackendProcess, spawn_backend, stop_backend
 
 __all__ = ["ChaosProxy", "run_trial", "run_campaign"]
-
-#: Reply codes an honest fleet may give a well-formed request.
-EXPECTED_CODES = frozenset({0, 408, 429, 500, 503})
 
 #: Backend tuning for trials: fast drain, fast breaker, debug ops off.
 BACKEND_ARGS = (
@@ -176,17 +165,6 @@ def _oracle(text: str) -> bytes:
     return dump_bytes(result.compressed, result.assigned_stream)
 
 
-def _classify(header: Dict, payload: bytes, expected: bytes) -> str:
-    if header.get("ok"):
-        return "correct" if payload == expected else "silent_corruption"
-    error = header.get("error")
-    if isinstance(error, dict) and "type" in error and (
-        header.get("code") in EXPECTED_CODES
-    ):
-        return "typed_error"
-    return "untyped"
-
-
 def _tamper_cache(cache_dir: Path, plan: FleetFaultPlan) -> bool:
     """Flip one byte of one cache entry; False if there is none yet."""
     entries = sorted(cache_dir.glob(f"*/*{_SUFFIX}"))
@@ -198,15 +176,15 @@ def _tamper_cache(cache_dir: Path, plan: FleetFaultPlan) -> bool:
     return True
 
 
-def run_trial(plan: FleetFaultPlan, work_dir: Path) -> Dict:
-    """One fault, one seed, one fresh fleet; returns the trial report."""
+def run_trial(plan: FleetFaultPlan, work_dir: Path) -> Trial:
+    """One fault, one seed, one fresh fleet, classified."""
     work_dir = Path(work_dir)
     work_dir.mkdir(parents=True, exist_ok=True)
     cache_dir = work_dir / "cache"
     backends: List[BackendProcess] = []
     proxy: Optional[ChaosProxy] = None
     dispatcher: Optional[FleetDispatcher] = None
-    outcomes = {"correct": 0, "typed_error": 0, "silent_corruption": 0, "untyped": 0}
+    replies = {outcome: 0 for outcome in TrialOutcome}
     notes: List[str] = []
     try:
         for _ in range(plan.backends):
@@ -252,12 +230,12 @@ def run_trial(plan: FleetFaultPlan, work_dir: Path) -> Dict:
                 try:
                     header, payload = client.compress(text, deadline_ms=15000)
                 except (ProtocolError, OSError) as exc:
-                    outcomes["untyped"] += 1
+                    replies[TrialOutcome.ESCAPED] += 1
                     notes.append(f"request {index}: transport failure: {exc}")
                     client.close()
                     client = ServiceClient(dispatcher.address, timeout=30.0)
                     continue
-                outcomes[_classify(header, payload, expected[text])] += 1
+                replies[classify_reply(header, payload, expected[text])] += 1
         finally:
             client.close()
         counters = dispatcher.recorder.snapshot().get("counters", {})
@@ -275,26 +253,31 @@ def run_trial(plan: FleetFaultPlan, work_dir: Path) -> Dict:
                 backend.kill()
     if plan.fault == "cache_tamper" and not counters.get(ev.FLEET_CACHE_CORRUPT):
         notes.append("tampered entry was never detected as corrupt")
-    report = {
-        "fault": plan.fault,
-        "seed": plan.seed,
-        "requests": plan.requests,
-        "trigger_index": plan.trigger_index,
-        "target_backend": plan.target_backend % plan.backends,
-        "outcomes": outcomes,
-        "notes": notes,
-        "counters": {
-            name: value
-            for name, value in sorted(counters.items())
-            if name.startswith("fleet.")
+    # The trial takes its worst reply; a note fails it.
+    if replies[TrialOutcome.SILENT]:
+        outcome = TrialOutcome.SILENT
+    elif replies[TrialOutcome.ESCAPED] or notes:
+        outcome = TrialOutcome.ESCAPED
+    elif replies[TrialOutcome.DETECTED]:
+        outcome = TrialOutcome.DETECTED
+    else:
+        outcome = TrialOutcome.CORRECT
+    return Trial(
+        plan.fault,
+        f"seed={plan.seed}",
+        outcome,
+        detail="; ".join(notes),
+        facts={
+            "replies": {o.value: n for o, n in replies.items()},
+            "trigger_index": plan.trigger_index,
+            "target_backend": plan.target_backend % plan.backends,
+            "counters": {
+                name: value
+                for name, value in sorted(counters.items())
+                if name.startswith("fleet.")
+            },
         },
-        "ok": (
-            outcomes["silent_corruption"] == 0
-            and outcomes["untyped"] == 0
-            and not notes
-        ),
-    }
-    return report
+    )
 
 
 def run_campaign(
@@ -302,20 +285,18 @@ def run_campaign(
     work_dir: Path,
     faults: Sequence[str] = FLEET_FAULTS,
     requests: int = 24,
-) -> Dict:
-    """The full fault × seed matrix; aggregates per-trial reports."""
-    trials = []
-    for fault in faults:
-        for seed in seeds:
-            plan = FleetFaultPlan(fault, seed=seed, requests=requests)
-            trial_dir = Path(work_dir) / f"{fault}-{seed}"
-            trials.append(run_trial(plan, trial_dir))
-    totals = {"correct": 0, "typed_error": 0, "silent_corruption": 0, "untyped": 0}
+) -> CampaignResult:
+    """The full fault × seed matrix; ``info`` totals the replies."""
+    trials = tuple(
+        run_trial(
+            FleetFaultPlan(fault, seed=seed, requests=requests),
+            Path(work_dir) / f"{fault}-{seed}",
+        )
+        for fault in faults
+        for seed in seeds
+    )
+    replies = {o.value: 0 for o in TrialOutcome}
     for trial in trials:
-        for key in totals:
-            totals[key] += trial["outcomes"][key]
-    return {
-        "trials": trials,
-        "totals": totals,
-        "ok": all(trial["ok"] for trial in trials),
-    }
+        for name, count in trial.facts["replies"].items():
+            replies[name] += count
+    return CampaignResult(trials, {"replies": replies})

@@ -11,9 +11,10 @@ that *proves* the decode stack fails loudly:
 * :mod:`~repro.reliability.chaos` — deterministic *process-level*
   injectors (worker exception / SIGKILL / hang / corrupt-result) for
   the supervised batch engine;
-* :mod:`~repro.reliability.campaign` — the injection campaign runners
-  asserting the *detected / correct / silent-corruption* trichotomy,
-  over container bytes and over batch worker processes;
+* :mod:`~repro.reliability.campaign` — the fault-campaign core: the one
+  *correct / detected / silent / escaped* classifier every campaign
+  reports through, and the runners over container bytes and batch
+  worker processes;
 * :mod:`~repro.reliability.salvage` — :func:`decode_partial`, the
   graceful-degradation decoder for debugging bad ATE dumps;
 * :mod:`~repro.reliability.verify` — staged container integrity
@@ -62,7 +63,6 @@ __all__ = [
     "CampaignResult",
     "ChaosPlan",
     "Check",
-    "CrashCampaignResult",
     "CrashFS",
     "CrashWriterSpec",
     "DurableAppendFile",
@@ -75,8 +75,6 @@ __all__ = [
     "SEEDED_INJECTORS",
     "STREAM_INJECTORS",
     "PartialDecodeResult",
-    "ProcessCampaignResult",
-    "ProcessTrial",
     "Trial",
     "TrialOutcome",
     "VerifyReport",
@@ -100,7 +98,6 @@ _LAZY = {
     "FSBackend": "atomic",
     "current_backend": "atomic",
     "use_backend": "atomic",
-    "CrashCampaignResult": "crashsim",
     "CrashFS": "crashsim",
     "CrashWriterSpec": "crashsim",
     "SimulatedCrash": "crashsim",
@@ -115,8 +112,6 @@ _LAZY = {
     "ChaosPlan": "chaos",
     "PROCESS_FAULTS": "chaos",
     "CampaignResult": "campaign",
-    "ProcessCampaignResult": "campaign",
-    "ProcessTrial": "campaign",
     "Trial": "campaign",
     "TrialOutcome": "campaign",
     "run_campaign": "campaign",

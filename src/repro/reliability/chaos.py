@@ -237,8 +237,8 @@ class ClientFaultPlan:
         over and reclaim the thread, with nothing to reply to.
 
     :meth:`run` executes one such interaction against a live server and
-    reports what actually happened, so the soak harness can assert the
-    contract (typed reply or clean close — never a hang) per fault.
+    reports what actually happened; :meth:`classify` turns that into a
+    campaign outcome (typed reply or clean close — never a hang).
     The service modules are imported lazily: reliability sits *below*
     the service layer and must stay importable without it.
     """
@@ -300,6 +300,30 @@ class ClientFaultPlan:
                 sock.close()
             except OSError:
                 pass
+
+    def classify(self, observed: dict):
+        """The :class:`~repro.reliability.campaign.TrialOutcome` of a run.
+
+        ``DETECTED`` when the server rejected the fault loudly: a typed
+        reply with the code the protocol gives this framing violation
+        (judged by :func:`~repro.reliability.campaign.classify_reply`),
+        or no reply and a close.  ``ESCAPED`` otherwise — an accepted,
+        untyped or wrongly coded reply, or neither reply nor close.
+        """
+        from ..service.protocol import CODE_BAD_REQUEST, CODE_PAYLOAD_TOO_LARGE
+        from .campaign import TrialOutcome, classify_reply
+
+        reply = observed["reply"]
+        if reply is None:
+            rejected = observed["closed"]
+        else:
+            # The protocol's error_code: an oversized frame is 413, any
+            # other framing violation (a header the I/O budget never
+            # completed included) 400.  A vanished client gets no reply.
+            oversized = self.fault == "oversized_frame"
+            code = CODE_PAYLOAD_TOO_LARGE if oversized else CODE_BAD_REQUEST
+            rejected = classify_reply(reply, codes={code}) is TrialOutcome.DETECTED
+        return TrialOutcome.DETECTED if rejected else TrialOutcome.ESCAPED
 
     def _read_reply(self, sock) -> "dict | None":
         from ..service.protocol import MessageStream

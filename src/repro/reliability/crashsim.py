@@ -55,26 +55,23 @@ report still accounts for every enumerated point.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import shutil
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .atomic import FSBackend, use_backend
+from .campaign import FAILING, CampaignResult, Trial, TrialOutcome, judge, label_outcome
 from .errors import ReproError
 
 __all__ = [
-    "CrashCampaignResult",
     "CrashFS",
     "CrashPoint",
-    "CrashTrial",
     "CrashWriterSpec",
     "SimulatedCrash",
     "enumerate_crash_points",
     "run_crash_campaign",
-    "BAD_OUTCOMES",
     "DATA_SURVIVAL",
     "META_SURVIVAL",
 ]
@@ -83,12 +80,6 @@ __all__ = [
 DATA_SURVIVAL = ("none", "half", "all")
 #: Pending-metadata survival levels (renames/unlinks/creations).
 META_SURVIVAL = ("lost", "kept")
-
-#: Outcome labels that fail a campaign.  ``recover`` callbacks may
-#: return any label; these two (or labels prefixed with them) mean the
-#: durability contract broke.
-BAD_OUTCOMES = ("silent", "escaped")
-
 
 class SimulatedCrash(BaseException):
     """The power cut.  A ``BaseException``: cleanup code that catches
@@ -328,42 +319,26 @@ class CrashPoint:
 
 
 @dataclass(frozen=True)
-class CrashTrial:
-    """One recovery check: a crash point, the state it produced and the
-    classified outcome."""
-
-    point: CrashPoint
-    state_digest: str
-    outcome: str
-    detail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return not self.outcome.startswith(BAD_OUTCOMES)
-
-
-@dataclass(frozen=True)
 class CrashWriterSpec:
     """One artefact writer under test.
 
     ``write(root)`` runs the production writer against paths under
     ``root`` (all file I/O is intercepted through the backend seam).
     ``recover(root)`` inspects a materialised post-crash directory and
-    returns an outcome label — anything starting with ``silent`` or
-    ``escaped`` fails the campaign; every other label (``clean``,
-    ``old``, ``prefix``, ``detected``, ...) is the spec's own
-    vocabulary for an honoured contract.  ``setup(root)`` optionally
-    returns pre-existing durable files (``relative path -> bytes``),
-    e.g. the old artefact version for overwrite contracts.
+    returns a contract label (optionally with a detail string), which
+    :func:`~repro.reliability.campaign.label_outcome` maps to an
+    outcome: ``silent*`` and ``escaped*`` fail the campaign,
+    ``detected*`` is a loud failure, and every other label (``old``,
+    ``prefix``, ``replayed-2``, ...) is the spec's own word for an
+    honoured contract.  ``setup(root)`` optionally returns pre-existing
+    durable files (``relative path -> bytes``), e.g. the old artefact
+    version for overwrite contracts.
     """
 
     name: str
     write: Callable[[Path], None]
     recover: Callable[[Path], Union[str, Tuple[str, str]]]
     setup: Optional[Callable[[Path], Dict[str, bytes]]] = None
-    #: Whether the writer itself may raise a typed ReproError at a
-    #: scheduled environmental failure (ENOSPC arm).  Untyped writer
-    #: exceptions are always "escaped".
     description: str = ""
 
 
@@ -411,59 +386,6 @@ def _materialize_to_dir(
         target.write_bytes(data)
 
 
-@dataclass
-class CrashCampaignResult:
-    """All trials of one writer's campaign plus the dedup accounting."""
-
-    name: str
-    trials: List[CrashTrial] = field(default_factory=list)
-    ops: List[str] = field(default_factory=list)
-    points_enumerated: int = 0
-    unique_states: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return all(trial.ok for trial in self.trials)
-
-    @property
-    def outcome_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for trial in self.trials:
-            label = trial.outcome.split(":", 1)[0]
-            counts[label] = counts.get(label, 0) + 1
-        return counts
-
-    def failures(self) -> List[CrashTrial]:
-        return [trial for trial in self.trials if not trial.ok]
-
-    def summary(self) -> str:
-        counts = ", ".join(
-            f"{label}={count}" for label, count in sorted(self.outcome_counts.items())
-        )
-        status = "OK" if self.ok else "FAILED"
-        return (
-            f"{self.name}: {status} — {self.points_enumerated} crash points, "
-            f"{self.unique_states} unique states, {counts}"
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "writer": self.name,
-            "ok": self.ok,
-            "ops": len(self.ops),
-            "points_enumerated": self.points_enumerated,
-            "unique_states": self.unique_states,
-            "outcomes": self.outcome_counts,
-            "failures": [
-                {
-                    "point": trial.point.describe(),
-                    "state": trial.state_digest,
-                    "outcome": trial.outcome,
-                    "detail": trial.detail,
-                }
-                for trial in self.failures()
-            ],
-        }
 
 
 def run_crash_campaign(
@@ -471,7 +393,7 @@ def run_crash_campaign(
     workdir: Union[str, Path],
     errno_ops: Sequence[str] = ("write", "fsync"),
     max_errno_points: Optional[int] = None,
-) -> CrashCampaignResult:
+) -> CampaignResult:
     """Replay every crash point of ``spec`` and classify the recoveries.
 
     For each op index the writer is re-run against a fresh simulated
@@ -482,134 +404,99 @@ def run_crash_campaign(
     whose description starts with one of ``errno_ops`` and requires the
     writer to fail *typed* (or succeed) — an untyped exception is
     ``escaped``.
+
+    Each point becomes one :class:`~repro.reliability.campaign.Trial`
+    whose outcome is :func:`~repro.reliability.campaign.label_outcome`
+    of its contract label.  ``info`` keeps the dedup accounting and
+    the per-label tally (labels cut at the first ``:``).
     """
     workdir = Path(workdir)
     virtual_root = workdir / "virtual"
     virtual_root.mkdir(parents=True, exist_ok=True)
     ops, initial = enumerate_crash_points(spec, virtual_root)
-    result = CrashCampaignResult(name=spec.name, ops=list(ops))
+    trials: List[Trial] = []
+    recovered: Dict[str, Tuple[str, str]] = {}  # state digest -> (label, detail)
 
-    recovered: Dict[str, str] = {}  # state digest -> outcome
-    details: Dict[str, str] = {}
-    trial_dir = 0
+    def record(point: CrashPoint, digest: str, label: str, detail: str) -> None:
+        trials.append(
+            Trial(
+                spec.name,
+                f"{point.describe()} state={digest}",
+                label_outcome(label),
+                detail=detail,
+                label=label,
+            )
+        )
 
-    def recover_state(state: Dict[str, bytes], point: CrashPoint) -> CrashTrial:
-        nonlocal trial_dir
+    def recover_state(state: Dict[str, bytes]) -> Tuple[str, str, str]:
         digest = _state_digest(state)
         if digest not in recovered:
-            trial_dir += 1
-            real_root = workdir / f"state-{trial_dir:04d}"
+            real_root = workdir / f"state-{len(recovered) + 1:04d}"
             _materialize_to_dir(state, virtual_root, real_root)
+            # recover must return a label: raising, even typed, is an escape.
             try:
-                outcome = spec.recover(real_root)
-                if isinstance(outcome, tuple):
-                    outcome, detail = outcome
-                else:
-                    detail = ""
-            except ReproError as exc:
-                outcome, detail = "escaped:typed-from-recover", str(exc)
+                label = spec.recover(real_root)
             except Exception as exc:  # noqa: BLE001 — classified, not hidden
-                outcome, detail = "escaped:recover-raised", f"{type(exc).__name__}: {exc}"
-            recovered[digest] = outcome
-            details[digest] = detail
-            result.unique_states += 1
-        return CrashTrial(
-            point=point,
-            state_digest=digest,
-            outcome=recovered[digest],
-            detail=details[digest],
-        )
+                typed = isinstance(exc, ReproError)
+                label = (
+                    "escaped:typed-from-recover" if typed else "escaped:recover-raised",
+                    str(exc) if typed else f"{type(exc).__name__}: {exc}",
+                )
+            recovered[digest] = label if isinstance(label, tuple) else (label, "")
+        return (digest, *recovered[digest])
 
     # Arm 1: power cut in place of every op (plus the completed run).
     for index in range(len(ops) + 1):
         fs = CrashFS(initial=dict(initial), crash_after=index)
-        completed = False
         try:
             with use_backend(fs):
                 spec.write(virtual_root)
-            completed = True
         except SimulatedCrash:
-            pass
+            grid = [(s, m) for s in DATA_SURVIVAL for m in META_SURVIVAL]
+        else:
+            grid = [("all", "kept")]  # no crash fired: one fully-survived state
         op = ops[index] if index < len(ops) else "complete"
-        if completed:
-            # No crash fired: a single fully-survived state.
-            state = fs.materialize("all", "kept")
-            result.points_enumerated += 1
-            result.trials.append(
-                recover_state(state, CrashPoint(index, op, "all", "kept"))
-            )
-            continue
-        for survival in DATA_SURVIVAL:
-            for meta in META_SURVIVAL:
-                point = CrashPoint(index, op, survival, meta)
-                state = fs.materialize(survival, meta)
-                result.points_enumerated += 1
-                result.trials.append(recover_state(state, point))
+        for survival, meta in grid:
+            point = CrashPoint(index, op, survival, meta)
+            record(point, *recover_state(fs.materialize(survival, meta)))
 
     # Arm 2: environmental failure (ENOSPC) at every matching op; the
     # writer keeps running and must fail typed — then the artefact must
     # still honour its recovery contract.
     errno_indices = [
-        index
-        for index, op in enumerate(ops)
-        if op.startswith(tuple(errno_ops))
+        index for index, op in enumerate(ops) if op.startswith(tuple(errno_ops))
     ]
-    if max_errno_points is not None:
-        errno_indices = errno_indices[:max_errno_points]
-    for index in errno_indices:
+    for index in errno_indices[:max_errno_points]:
         fs = CrashFS(initial=dict(initial), fail_at=index)
-        writer_outcome = "completed"
-        detail = ""
-        try:
+
+        def write() -> None:
             with use_backend(fs):
                 spec.write(virtual_root)
-        except ReproError as exc:
-            writer_outcome = "detected"
-            detail = f"{type(exc).__name__}: {exc}"
-        except OSError as exc:
-            # A raw OSError reaching the operator is allowed only for
-            # non-environmental errnos; the injected ones must be typed.
-            writer_outcome = "escaped:untyped-oserror"
-            detail = str(exc)
-        except Exception as exc:  # noqa: BLE001 — classified, not hidden
-            writer_outcome = "escaped:writer-raised"
-            detail = f"{type(exc).__name__}: {exc}"
+
+        outcome, error = judge(write, lambda _: True)
         point = CrashPoint(index, ops[index], "all", "kept", mode="errno")
-        if writer_outcome.startswith("escaped"):
-            result.points_enumerated += 1
-            result.trials.append(
-                CrashTrial(point=point, state_digest="-", outcome=writer_outcome, detail=detail)
-            )
+        if outcome is TrialOutcome.ESCAPED:
+            kind = "untyped-oserror" if isinstance(error, OSError) else "writer-raised"
+            record(point, "-", f"escaped:{kind}", f"{type(error).__name__}: {error}")
             continue
-        state = fs.materialize("all", "kept")
-        result.points_enumerated += 1
-        trial = recover_state(state, point)
-        if trial.outcome.startswith(BAD_OUTCOMES):
-            outcome = trial.outcome
-        else:
-            outcome = f"{writer_outcome}+{trial.outcome}"
-        result.trials.append(
-            CrashTrial(
-                point=point,
-                state_digest=trial.state_digest,
-                outcome=outcome,
-                detail=trial.detail or detail,
-            )
-        )
+        writer = "detected" if outcome is TrialOutcome.DETECTED else "completed"
+        digest, label, detail = recover_state(fs.materialize("all", "kept"))
+        if label_outcome(label) not in FAILING:
+            label = f"{writer}+{label}"
+        if not detail and error is not None:
+            detail = f"{type(error).__name__}: {error}"
+        record(point, digest, label, detail)
 
     shutil.rmtree(virtual_root, ignore_errors=True)
-    return result
-
-
-def campaign_report(results: Sequence[CrashCampaignResult]) -> dict:
-    """The JSON envelope the durability campaign writes as its artifact."""
-    return {
-        "schema": "repro.durability/1",
-        "ok": all(result.ok for result in results),
-        "writers": [result.to_json() for result in results],
-        "totals": {
-            "points": sum(result.points_enumerated for result in results),
-            "unique_states": sum(result.unique_states for result in results),
-            "failures": sum(len(result.failures()) for result in results),
-        },
+    labels: Dict[str, int] = {}
+    for trial in trials:
+        key = trial.label.split(":", 1)[0]
+        labels[key] = labels.get(key, 0) + 1
+    info = {
+        "writer": spec.name,
+        "ops": len(ops),
+        "points_enumerated": len(trials),
+        "unique_states": len(recovered),
+        "labels": labels,
     }
+    return CampaignResult(tuple(trials), info)

@@ -8,6 +8,7 @@ writer that the harness must catch, proving the campaign can fail.
 """
 
 import errno
+import json
 import os
 
 import pytest
@@ -18,12 +19,11 @@ from repro.reliability.atomic import (
     current_backend,
     use_backend,
 )
+from repro.reliability.campaign import TrialOutcome
 from repro.reliability.crashsim import (
-    BAD_OUTCOMES,
     CrashFS,
     CrashWriterSpec,
     SimulatedCrash,
-    campaign_report,
     run_crash_campaign,
 )
 from repro.reliability.errors import ContainerError, ReproError
@@ -147,10 +147,12 @@ class TestRunCrashCampaign:
         result = run_crash_campaign(
             atomic_spec(tmp_path, old=b"old-bytes"), tmp_path
         )
-        assert result.ok, result.failures()
-        counts = result.outcome_counts
-        assert counts.get("new") and counts.get("old")
-        assert "silent" not in counts and "escaped" not in counts
+        assert result.ok, result.summary()
+        labels = result.info["labels"]
+        assert labels.get("new") and labels.get("old")
+        assert "silent" not in labels and "escaped" not in labels
+        assert result.counts[TrialOutcome.SILENT] == 0
+        assert result.counts[TrialOutcome.ESCAPED] == 0
 
     def test_torn_writer_is_caught(self, tmp_path):
         # A writer that skips the tmp+rename dance MUST produce torn
@@ -179,7 +181,9 @@ class TestRunCrashCampaign:
         )
         assert not result.ok
         assert any(
-            trial.outcome.startswith("silent") for trial in result.failures()
+            trial.label.startswith("silent")
+            and trial.outcome is TrialOutcome.SILENT
+            for trial in result.failures
         )
 
     def test_untyped_enospc_is_escaped(self, tmp_path):
@@ -199,7 +203,9 @@ class TestRunCrashCampaign:
             tmp_path,
         )
         assert any(
-            trial.outcome.startswith("escaped") for trial in result.trials
+            trial.label.startswith("escaped")
+            and trial.outcome is TrialOutcome.ESCAPED
+            for trial in result.trials
         )
         assert not result.ok
 
@@ -214,24 +220,44 @@ class TestRunCrashCampaign:
         result = run_crash_campaign(broken, tmp_path)
         assert not result.ok
         assert all(
-            trial.outcome.startswith("escaped") for trial in result.trials
+            trial.label == "escaped:recover-raised"
+            and trial.outcome is TrialOutcome.ESCAPED
+            for trial in result.trials
+        )
+
+    def test_typed_recovery_exception_is_still_escaped(self, tmp_path):
+        # recover must return a label: raising, even a typed error, is
+        # an escape, not a detection.
+        def recover(root):
+            raise ContainerError("recovery raised instead of labelling")
+
+        spec = atomic_spec(tmp_path)
+        broken = CrashWriterSpec(name="typed-recovery", write=spec.write, recover=recover)
+        result = run_crash_campaign(broken, tmp_path)
+        assert not result.ok
+        assert all(
+            trial.label == "escaped:typed-from-recover"
+            and trial.outcome is TrialOutcome.ESCAPED
+            for trial in result.trials
         )
 
     def test_states_are_deduplicated(self, tmp_path):
         result = run_crash_campaign(atomic_spec(tmp_path), tmp_path)
         # 45 crash points collapse to ~11 distinct durable states;
         # recovery ran once per state, not once per point.
-        assert result.unique_states < result.points_enumerated / 2
+        info = result.info
+        assert info["points_enumerated"] == len(result.trials)
+        assert info["unique_states"] < info["points_enumerated"] / 2
 
     def test_report_shape(self, tmp_path):
         result = run_crash_campaign(atomic_spec(tmp_path), tmp_path)
-        report = campaign_report([result])
-        assert report["schema"] == "repro.durability/1"
+        report = json.loads(json.dumps(result.to_json()))
         assert report["ok"] is True
-        assert report["totals"]["points"] == result.points_enumerated
-        writer = report["writers"][0]
-        assert writer["writer"] == "atomic"
-        assert writer["failures"] == []
+        assert report["points_enumerated"] == len(report["trials"])
+        assert report["writer"] == "atomic"
+        assert report["counts"]["silent"] == report["counts"]["escaped"] == 0
+        assert {trial["fault"] for trial in report["trials"]} == {"atomic"}
+        assert all(trial["label"] for trial in report["trials"])
 
 
 # -- satellite: DurableAppendFile.close never leaks the handle --------

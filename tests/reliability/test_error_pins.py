@@ -83,7 +83,7 @@ def _tally(container, original, injectors, seeds):
     counts = {}
     for trial in result.trials:
         error = type(trial.error).__name__ if trial.error is not None else None
-        counts.setdefault(trial.injector, Counter())[(trial.outcome.value, error)] += 1
+        counts.setdefault(trial.fault, Counter())[(trial.outcome.value, error)] += 1
     return {name: dict(tally) for name, tally in counts.items()}
 
 
