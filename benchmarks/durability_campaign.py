@@ -36,6 +36,7 @@ its ``(writer, op index, survival, meta)`` coordinates.
 """
 
 import hashlib
+import io
 import json
 import random
 from pathlib import Path
@@ -50,7 +51,6 @@ from repro.container import (
 )
 from repro.core import LZWConfig, compress
 from repro.core.decoder import derive_final_snapshot
-from repro.core.stream import StreamEncoder
 from repro.fleet.cache import ResultCache
 from repro.parallel.engine import ShardResult
 from repro.parallel.journal import ShardJournal
@@ -60,7 +60,7 @@ from repro.reliability.errors import ConfigError, ContainerError
 from repro.reliability.fsck import fsck_paths
 from repro.reliability.salvage import salvage_container
 from repro.reliability.verify import verify_container
-from repro.streamio import StreamContainerWriter, decode_stream_bytes
+from repro.streamio import decode_stream_bytes, write_stream
 
 CONFIG = LZWConfig(char_bits=4, dict_size=64, entry_bits=20)
 CODES_PER_FRAME = 16
@@ -117,18 +117,9 @@ for _i, _part in enumerate(_SHARD_STREAMS):
     EXPECTED_SHARD_BYTES[(0, _i)] = dump_bytes(_res.compressed, _res.assigned_stream)
 
 
-def _v5_reference() -> bytes:
-    import io
-
-    encoder = StreamEncoder(CONFIG)
-    sink = io.BytesIO()
-    writer = StreamContainerWriter(CONFIG, sink, codes_per_frame=CODES_PER_FRAME)
-    writer.write_codes(encoder.feed(STREAM))
-    writer.finalize(encoder.finalize(), encoder.original_bits)
-    return sink.getvalue()
-
-
-V5_FULL = _v5_reference()
+_V5_SINK = io.BytesIO()
+write_stream(CONFIG, [STREAM], _V5_SINK, codes_per_frame=CODES_PER_FRAME)
+V5_FULL = _V5_SINK.getvalue()
 V5_DECODED = decode_stream_bytes(V5_FULL)
 
 
@@ -204,11 +195,8 @@ def _stream_spec() -> CrashWriterSpec:
     """whole-frame-prefix contract for the v5 streaming journal."""
 
     def write(root):
-        encoder = StreamEncoder(CONFIG)
         sink = DurableAppendFile(root / "stream.lzwt")
-        writer = StreamContainerWriter(CONFIG, sink, codes_per_frame=CODES_PER_FRAME)
-        writer.write_codes(encoder.feed(STREAM))
-        writer.finalize(encoder.finalize(), encoder.original_bits)
+        write_stream(CONFIG, [STREAM], sink, codes_per_frame=CODES_PER_FRAME)
         sink.close()
 
     def recover(root):

@@ -13,9 +13,9 @@ the service's whole robustness contract at once:
 * **typed shedding** — every rejected request carries a typed error
   (`OverloadError` / `DeadlineError` / `ProtocolError` / `ShardError`)
   with an HTTP-flavoured code from the documented set;
-* **byte identity** — every *accepted* compress reply's container is
-  byte-identical to the serial ``repro compress`` path on the same
-  input;
+* **byte identity** — every *accepted* compress (``compress_stream``)
+  reply's container is byte-identical to the serial ``repro compress``
+  path (the local stream front door) on the same input;
 * **graceful drain** — SIGTERM ends the run with exit 0 and a valid
   final ``repro.metrics/1`` snapshot on disk.
 
@@ -25,13 +25,15 @@ Run it as CI does::
     PYTHONPATH=src python benchmarks/service_soak.py --seconds 30 \
         --report soak_report.json                              # full soak
 
-``--smoke`` round-trips the three golden workloads through a live
-server and byte-compares against the serial path, then exits.  The full
-soak adds the concurrent fleet for ``--seconds``.  Exit status: 0 clean,
-1 with every violation listed on stderr (and in the ``--report`` JSON).
+``--smoke`` round-trips the three golden workloads and one raw payload
+through a live server and byte-compares against the local paths, then
+exits.  The full soak adds the concurrent fleet for ``--seconds``.
+Exit status: 0 clean, 1 with every violation listed on stderr (and in
+the ``--report`` JSON).
 """
 
 import argparse
+import io
 import json
 import os
 import signal
@@ -47,11 +49,17 @@ from repro.reliability.campaign import TrialOutcome, classify_reply
 from repro.reliability.chaos import CLIENT_FAULTS, ClientFaultPlan
 from repro.reliability.errors import ProtocolError
 from repro.service import ServiceClient
+from repro.streamio import StreamContainerReader, iter_raw_bytes
+from repro.streamio import raw_chunks, write_stream
 from repro.testfile import format_test_text
 from repro.workloads import build_testset
 
 #: The golden corpus (mirrors tests/golden): name, scale.
 WORKLOADS = (("s5378f", 0.12), ("s9234f", 0.08), ("s35932f", 0.25))
+
+#: The raw-bytes (X-density 0) payload of the ``compress_stream`` turns.
+RAW_PAYLOAD = b"soak raw payload: repeated structure, repeated structure\n" * 96
+RAW_CHUNK_BYTES = 500
 
 #: Server tuning for the soak: tight enough that shedding and the
 #: breaker actually fire under the fleet's load.
@@ -78,6 +86,13 @@ def _workload_texts():
         serial = dump_bytes(result.compressed, result.assigned_stream)
         triples.append((name, text, serial))
     return triples
+
+
+def _raw_reference():
+    """The v5 container the stream front door builds for RAW_PAYLOAD."""
+    sink = io.BytesIO()
+    write_stream(LZWConfig(), raw_chunks(RAW_PAYLOAD, RAW_CHUNK_BYTES), sink)
+    return sink.getvalue()
 
 
 class Stats:
@@ -115,8 +130,8 @@ def _check_reply(stats, label, header):
     return False
 
 
-def _good_client(index, address, corpus, stats, stop):
-    """Round-robins compress (byte-checked), decompress and verify."""
+def _good_client(index, address, corpus, raw_reference, stats, stop):
+    """Round-robins compress, decompress, verify, compress_stream."""
     try:
         client = ServiceClient(address, timeout=15.0)
     except OSError as exc:
@@ -128,8 +143,16 @@ def _good_client(index, address, corpus, stats, stop):
         while not stop.is_set():
             name, text, serial = corpus[turn % len(corpus)]
             try:
-                op = ("compress", "decompress", "verify")[turn % 3]
-                if op == "compress" or name not in containers:
+                op = ("compress", "decompress", "verify", "compress_stream")[
+                    turn % 4
+                ]
+                if op == "compress_stream":
+                    header, payload = client.compress_stream(
+                        RAW_PAYLOAD, chunk_bytes=RAW_CHUNK_BYTES
+                    )
+                    if _check_reply(stats, op, header) and payload != raw_reference:
+                        stats.violation(f"{op}: container differs from front door")
+                elif op == "compress" or name not in containers:
                     header, payload = client.compress(text)
                     if _check_reply(stats, "compress", header):
                         if payload != serial:
@@ -306,6 +329,16 @@ def run_smoke(report_path=None):
                     stats.violation(f"smoke verify({name}): {header}")
                 else:
                     stats.count("smoke.verify_ok")
+            # One raw payload: equal to the local front door, and back.
+            header, payload = client.compress_stream(
+                RAW_PAYLOAD, chunk_bytes=RAW_CHUNK_BYTES
+            )
+            if payload != _raw_reference() or RAW_PAYLOAD != b"".join(
+                iter_raw_bytes(StreamContainerReader(io.BytesIO(payload)))
+            ):
+                stats.violation(f"smoke compress_stream: {header}")
+            else:
+                stats.count("smoke.compress_stream_ok")
     finally:
         _stop_server(proc, stats)
     counters = _check_metrics(metrics_path, stats)
@@ -316,12 +349,14 @@ def run_soak(seconds, good_clients, report_path=None):
     """The full mixed-fleet soak (module docstring)."""
     stats = Stats()
     corpus = _workload_texts()
+    raw_reference = _raw_reference()
     metrics_path = Path("soak_metrics.json").resolve()
     proc, address = _start_server(metrics_path)
     stop = threading.Event()
     threads = [
         threading.Thread(
-            target=_good_client, args=(i, address, corpus, stats, stop)
+            target=_good_client,
+            args=(i, address, corpus, raw_reference, stats, stop),
         )
         for i in range(good_clients)
     ]

@@ -5,9 +5,9 @@ chunk size and the dictionary, never of the input length.  This smoke
 proves it two ways, fast enough for CI:
 
 1. **Allocation flatness** — stream a corpus and a 10x larger corpus
-   through ``StreamEncoder`` + ``StreamContainerWriter`` (sink:
-   ``os.devnull``) under :mod:`tracemalloc` and assert the traced peak
-   for the 10x input stays within 2x of the base peak.  ``tracemalloc``
+   through :func:`repro.streamio.write_stream` (sink: ``os.devnull``)
+   under :mod:`tracemalloc` and assert the traced peak for the 10x
+   input stays within 2x of the base peak.  ``tracemalloc``
    sees only Python allocations, so the baseline is tiny and a
    buffer-the-world regression (a retained character list costs ~28
    bytes/char) shows up as an order-of-magnitude blowup, not noise.
@@ -41,8 +41,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.bitstream import TernaryVector  # noqa: E402
-from repro.core import LZWConfig, StreamEncoder  # noqa: E402
-from repro.streamio import StreamContainerWriter  # noqa: E402
+from repro.core import LZWConfig  # noqa: E402
+from repro.streamio import raw_chunks, write_stream  # noqa: E402
 from repro.workloads import build_testset  # noqa: E402
 
 #: Base size of the ternary cube corpus (10x for flatness): about one
@@ -77,12 +77,6 @@ def make_cube_corpus(bits: int) -> TernaryVector:
     return TernaryVector.concat_all(parts)[:bits]
 
 
-def text_chunks(data: bytes, chunk_bytes: int):
-    for off in range(0, len(data), chunk_bytes):
-        buf = data[off : off + chunk_bytes]
-        yield TernaryVector.from_int(int.from_bytes(buf, "little"), len(buf) * 8)
-
-
 def cube_chunks(stream: TernaryVector, chunk_bytes: int):
     step = chunk_bytes * 8
     for off in range(0, len(stream), step):
@@ -91,15 +85,10 @@ def cube_chunks(stream: TernaryVector, chunk_bytes: int):
 
 def traced_stream_peak(chunks) -> int:
     """Peak traced allocation while streaming ``chunks`` to /dev/null."""
-    config = LZWConfig()
     with open(os.devnull, "wb") as sink:
         tracemalloc.start()
         try:
-            enc = StreamEncoder(config)
-            writer = StreamContainerWriter(config, sink)
-            for chunk in chunks:
-                writer.write_codes(enc.feed(chunk))
-            writer.finalize(enc.finalize(), enc.original_bits)
+            write_stream(LZWConfig(), chunks, sink)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -125,8 +114,8 @@ def check_allocation_flatness(base_kb: int, chunk_bytes: int) -> bool:
     big = make_corpus(base_kb * 1024 * 10)
     ok = check_flatness(
         "text",
-        text_chunks(base, chunk_bytes),
-        text_chunks(big, chunk_bytes),
+        raw_chunks(base, chunk_bytes),
+        raw_chunks(big, chunk_bytes),
         f"{len(base)} B",
     )
     cubes = make_cube_corpus(CUBE_BASE_BITS * 10)

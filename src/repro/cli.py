@@ -63,8 +63,8 @@ from .atpg import generate_tests
 from .baselines import GolombCompressor, LZ77Compressor
 from .circuit import BUILTIN_CIRCUITS, TestSet, load_bench, load_builtin, random_circuit
 from .bitstream import TernaryVector
-from .container import dump_file, load_seeded
-from .core import LZWConfig, compress, compress_batch, decode, decompress
+from .container import _load, dump_file
+from .core import LZWConfig, compress, compress_batch, decompress
 from .experiments import ALL_TABLES, Lab
 from .hardware import (
     MemoryRequirements,
@@ -189,18 +189,15 @@ def _open_source(spec: str):
 def _cmd_compress_stream(args: argparse.Namespace) -> int:
     """``repro compress --stream``: raw bytes in, v5 frame journal out.
 
-    The input (a file or stdin) is read ``--chunk-bytes`` at a time and
-    mapped to an X-density-0 ternary stream (bit *i* of the stream is
-    bit *i* of the little-endian byte string), so peak memory stays
-    bounded by the chunk size plus the dictionary no matter how large
-    the input grows.  Output to a path goes through the durable
-    append-only writer (fsync per frame); ``-o -`` streams frames to
-    stdout for piping into ``repro decompress --stream -``.
+    The input (a file or stdin) goes through the stream front door
+    (:func:`~repro.streamio.raw_chunks`, ``--chunk-bytes`` at a time),
+    so peak memory stays bounded by the chunk size plus the dictionary
+    no matter how large the input grows.  Output to a path goes through
+    the durable append-only writer (fsync per frame); ``-o -`` streams
+    frames to stdout for piping into ``repro decompress --stream -``.
     """
     from .reliability.atomic import DurableAppendFile
-    from .streamio import StreamContainerWriter
-    from .core.stream import StreamEncoder
-    from .observability import schema as ev
+    from .streamio import raw_chunks, write_stream
 
     if not args.output:
         raise ConfigError(
@@ -224,37 +221,24 @@ def _cmd_compress_stream(args: argparse.Namespace) -> int:
             sink = sys.stdout.buffer
         else:
             sink = DurableAppendFile(Path(args.output))
-        encoder = StreamEncoder(config, recorder=recorder)
-        writer = StreamContainerWriter(
-            config, sink, codes_per_frame=args.codes_per_frame,
-            recorder=recorder,
-        )
-        total_in = 0
         with _interruptible_metrics(recorder, args):
-            while True:
-                buf = source.read(args.chunk_bytes)
-                if not buf:
-                    break
-                total_in += len(buf)
-                chunk = TernaryVector.from_int(
-                    int.from_bytes(buf, "little"), len(buf) * 8
-                )
-                writer.write_codes(encoder.feed(chunk))
-                if recorder is not None and recorder.enabled:
-                    recorder.incr(ev.STREAM_CHUNKS_FED)
-            writer.finalize(encoder.finalize(), encoder.original_bits)
+            written = write_stream(
+                config, raw_chunks(source, args.chunk_bytes), sink,
+                codes_per_frame=args.codes_per_frame, recorder=recorder,
+            )
     finally:
         if close_source:
             source.close()
         if isinstance(sink, DurableAppendFile):
             sink.close()
+    total_in = written.original_bits // 8
     ratio = (
-        100.0 * (1.0 - writer.bytes_written / total_in) if total_in else 0.0
+        100.0 * (1.0 - written.bytes_written / total_in) if total_in else 0.0
     )
     print(f"config: {config.describe()}", file=report)
     print(
-        f"streamed {total_in} bytes -> {writer.bytes_written} bytes "
-        f"in {writer.frames_written} frame(s) "
+        f"streamed {total_in} bytes -> {written.bytes_written} bytes "
+        f"in {written.frames} frame(s) "
         f"(ratio {ratio:.2f}%, chunk {args.chunk_bytes} bytes)",
         file=report,
     )
@@ -267,11 +251,11 @@ def _cmd_compress_stream(args: argparse.Namespace) -> int:
 def _cmd_decompress_stream(args: argparse.Namespace, source, close_source) -> int:
     """Frame-by-frame expansion of a v5 journal back to raw bytes.
 
-    The inverse of ``compress --stream``: each verified frame's
-    characters are packed back into little-endian bytes as they decode,
-    so only one frame (plus the dictionary) is ever resident.
+    The inverse of ``compress --stream``
+    (:func:`~repro.streamio.iter_raw_bytes`): only one frame (plus the
+    dictionary) is ever resident.
     """
-    from .streamio import StreamContainerReader, iter_decode_stream
+    from .streamio import StreamContainerReader, iter_raw_bytes
 
     if args.width:
         raise ConfigError(
@@ -282,52 +266,20 @@ def _cmd_decompress_stream(args: argparse.Namespace, source, close_source) -> in
     recorder = _metrics_recorder(args)
     report = sys.stderr if args.output == "-" else sys.stdout
     out = None
-    close_out = False
     try:
-        if args.output == "-":
-            out = sys.stdout.buffer
-        else:
-            out = open(args.output, "wb")
-            close_out = True
+        out = sys.stdout.buffer if args.output == "-" else open(args.output, "wb")
         reader = StreamContainerReader(source, recorder=recorder)
-        char_bits = reader.config.char_bits
-        acc = 0
-        acc_bits = 0
-        emitted_bits = 0
-        frames = 0
-        num_codes = 0
-        for chars, frame in iter_decode_stream(reader, recorder=recorder):
-            for char in chars:
-                acc |= char << acc_bits
-                acc_bits += char_bits
-            frames += 1
-            num_codes += frame.num_codes
-            # Never emit past the attested cumulative bit count — the
-            # final frame's X-padded partial character stays buffered.
-            avail = min(acc_bits, frame.original_bits_cum - emitted_bits)
-            nbytes = avail // 8
-            if nbytes:
-                out.write(
-                    (acc & ((1 << (nbytes * 8)) - 1)).to_bytes(nbytes, "little")
-                )
-                acc >>= nbytes * 8
-                acc_bits -= nbytes * 8
-                emitted_bits += nbytes * 8
-        total_bits = reader.terminal.total_original_bits
-        tail_bits = total_bits - emitted_bits
-        if tail_bits > 0:
-            acc &= (1 << tail_bits) - 1
-            out.write(acc.to_bytes((tail_bits + 7) // 8, "little"))
-        if out is not sys.stdout.buffer:
-            out.flush()
+        out.writelines(iter_raw_bytes(reader, recorder=recorder))
     finally:
         if close_source:
             source.close()
-        if close_out and out is not None:
+        if out is not None and out is not sys.stdout.buffer:
             out.close()
+    total_bits = reader.terminal.total_original_bits
     print(
-        f"decoded {total_bits} bits from {num_codes} codes in "
-        f"{frames} frame(s) ({reader.config.describe()})",
+        f"decoded {total_bits} bits from {reader.terminal.total_codes} codes "
+        f"in {reader.terminal.frame_count} frame(s) "
+        f"({reader.config.describe()})",
         file=report,
     )
     if total_bits % 8:
@@ -498,14 +450,10 @@ def _cmd_decompress(args: argparse.Namespace) -> int:
     if len(head) == 5 and head[:4] == b"LZWT" and head[4] == VERSION_STREAM:
         return _cmd_decompress_stream(args, source, True)
     source.close()
-    data = Path(args.file).read_bytes()
-    segments = load_seeded(data)
-    stream = TernaryVector.concat_all(
-        [
-            decode(seg.compressed, seed=seg.seed, link=seg.link)
-            for seg in segments
-        ]
-    )
+    # One strict walk decodes each segment once and checks its digest
+    # on that decode (the pass decode_container returns).
+    segments = _load(Path(args.file).read_bytes(), 4, True, None, decode=True)
+    stream = TernaryVector.concat_all([seg.stream for seg in segments])
     config = segments[0].compressed.config
     num_codes = sum(seg.compressed.num_codes for seg in segments)
     warm = sum(1 for seg in segments if seg.seed is not None or seg.link is not None)
@@ -579,8 +527,8 @@ def _cmd_stats_raw(args: argparse.Namespace) -> int:
     import lzma
     import zlib as _zlib
 
-    from .core.stream import StreamEncoder
-    from .streamio import decode_stream_bytes, StreamContainerWriter
+    from .streamio import DEFAULT_CODES_PER_FRAME, StreamContainerReader
+    from .streamio import iter_raw_bytes, raw_chunks, write_stream
 
     source, close_source = _open_source(args.file)
     try:
@@ -589,23 +537,11 @@ def _cmd_stats_raw(args: argparse.Namespace) -> int:
         if close_source:
             source.close()
     config = _config_from(args)
-    encoder = StreamEncoder(config)
     sink = _io.BytesIO()
-    writer = StreamContainerWriter(config, sink)
-    for start in range(0, len(data), args.chunk_bytes):
-        buf = data[start : start + args.chunk_bytes]
-        writer.write_codes(
-            encoder.feed(
-                TernaryVector.from_int(
-                    int.from_bytes(buf, "little"), len(buf) * 8
-                )
-            )
-        )
-    writer.finalize(encoder.finalize(), encoder.original_bits)
+    written = write_stream(config, raw_chunks(data, args.chunk_bytes), sink)
     container = sink.getvalue()
-    decoded = decode_stream_bytes(container)
-    nbytes = len(decoded) // 8
-    if decoded.value_mask.to_bytes(nbytes, "little") != data:
+    reader = StreamContainerReader(_io.BytesIO(container))
+    if b"".join(iter_raw_bytes(reader)) != data:
         print("ERROR: streaming round-trip diverged from the input")
         return 1
     print(f"raw corpus: {len(data)} bytes (X-density 0: every bit a care bit)")
@@ -621,7 +557,7 @@ def _cmd_stats_raw(args: argparse.Namespace) -> int:
     _row("lzma", len(lzma.compress(data)))
     print(
         "(v5 includes per-frame integrity headers; "
-        f"{writer.frames_written} frame(s) of {writer.codes_per_frame} codes)"
+        f"{written.frames} frame(s) of {DEFAULT_CODES_PER_FRAME} codes)"
     )
     return 0
 

@@ -137,9 +137,9 @@ from .core import (
     LZWConfig,
     decode,
     derive_final_snapshot,
-    iter_decode,
 )
 from .core.decoder import _chars_to_stream
+from .core.stream import StreamDecoder
 from .observability import NULL_RECORDER, Recorder
 from .observability import schema as ev
 from .reliability.atomic import atomic_write_bytes
@@ -605,7 +605,8 @@ class _Step(NamedTuple):
     when every stage that ran passed) and ``error`` its typed error;
     the stages after it did not run.  ``decoded`` counts the codes that
     decoded and, in a tolerant walk, ``chars`` holds their characters;
-    ``stream`` is the segment's decode once it passed.
+    ``stream`` is the segment's decode once it passed; ``decoder``, its
+    decoder, seeds a chain successor (yielded steps drop it).
     """
 
     index: int
@@ -617,6 +618,7 @@ class _Step(NamedTuple):
     chars: Sequence[int] = ()
     decoded: int = 0
     stream: Optional[TernaryVector] = None
+    decoder: Optional[StreamDecoder] = None
     stage: Optional[str] = None
     error: Optional[ReproError] = None
     notes: Tuple[str, ...] = ()
@@ -633,19 +635,24 @@ def _decode_prefix(
     recorder: Optional[Recorder] = None,
     seed: Optional[DictionarySnapshot] = None,
     link: Optional[int] = None,
-) -> Tuple[List[int], int, Optional[ReproError]]:
-    """Decode as far as the codes go: ``(chars, codes decoded, error)``."""
+) -> Tuple[List[int], int, Optional[ReproError], Optional[StreamDecoder]]:
+    """Decode as far as the codes go: ``(chars, codes decoded, error, decoder)``.
+
+    ``decoder`` is set only when there were codes and all of them decoded.
+    """
     chars: List[int] = []
+    if not codes:
+        return chars, 0, None, None
     try:
-        for _index, expansion in iter_decode(
-            codes, config, recorder, seed=seed, link=link
-        ):
-            chars.extend(expansion)
+        decoder = StreamDecoder(config, recorder, seed=seed, link=link)
+        push = decoder.push
+        for code in codes:
+            chars.extend(push(code))
     except (DecodeError, SnapshotError) as exc:
         # A seed that passes its CRC can still fail to replay
         # (duplicate child, entry width): then no code decodes.
-        return chars, getattr(exc, "code_index", 0), exc
-    return chars, len(codes), None
+        return chars, getattr(exc, "code_index", 0), exc, None
+    return chars, len(codes), None, decoder
 
 
 def _resolve_seed(
@@ -694,8 +701,13 @@ def _resolve_seed(
             segment=index,
         )
     try:
-        seed = derive_final_snapshot(
-            prev.codes, model.config, seed=prev.seed, link=prev.link
+        # A walk that did not decode the predecessor re-derives its state.
+        seed = (
+            prev.decoder.snapshot()
+            if prev.decoder is not None
+            else derive_final_snapshot(
+                prev.codes, model.config, seed=prev.seed, link=prev.link
+            )
         )
     except (DecodeError, SnapshotError) as exc:
         raise ContainerError(
@@ -806,11 +818,13 @@ def _walk_segment(
         return step
     name = _stage_name(model, index, "decode")
     with recorder.span(f"{span}{name}") if span else nullcontext():
-        chars, decoded, error = _decode_prefix(
+        chars, decoded, error, decoder = _decode_prefix(
             step.codes, config, recorder, seed, link
         )
         # Only salvage reads the characters; a strict walk keeps the stream.
-        step = step._replace(chars=chars if tolerant else (), decoded=decoded)
+        step = step._replace(
+            chars=chars if tolerant else (), decoded=decoded, decoder=decoder
+        )
         if error is None:
             try:
                 step = step._replace(
@@ -852,7 +866,8 @@ def _walk(
     (bounds, whole codes, code count, CRC), unpack the codes, decode
     under the seed and check the digest, stopping at its first failing
     stage.  A chain segment whose predecessor did not pass fails its
-    seed stage.  ``decode=False`` stops after the unpack and
+    seed stage; a passing one hands it its decoder's end state.
+    ``decode=False`` stops after the unpack (chain seeds re-derived) and
     ``verify=False`` skips the digest.  ``tolerant`` (salvage) clamps a
     short or ragged payload and ignores a payload CRC mismatch, noting
     both, and keeps a partial decode.  ``recorder`` records the decodes
@@ -871,7 +886,7 @@ def _walk(
             recorder,
             span,
         )
-        yield prev
+        yield prev._replace(decoder=None)
 
 
 def _load(
@@ -962,7 +977,8 @@ def load_seeded(
 
     v1/v2/v3 containers load as cold segments; v4 containers resolve
     each segment's seeding state — blob snapshots are CRC-checked and
-    parsed, chain states re-derived from the previous segment's codes.
+    parsed, chain states taken from the previous segment's decode (or,
+    with ``verify=False``, re-derived from its codes).
     Integrity failures raise :class:`ContainerError` (or
     :class:`SnapshotError` for malformed blobs).
     """

@@ -134,9 +134,10 @@ def derive_final_snapshot(
     **after emitting the last code but before the next cross-boundary
     allocation** — the exact seed a pipelined-wave successor shard
     needs (paired with ``link=codes[-1]``).  This is how chain seeds
-    are *derived* rather than stored: the decoder, the verifier and the
-    supervisor's lost-seed retry path all recompute them from bytes
-    they already have.
+    are *derived* rather than stored: a container walk that does not
+    decode and the batch engine's lost-seed fallback recompute them
+    from bytes they already have (a decoding walk takes the end state
+    of the decoder that decoded the predecessor instead).
 
     Raises :class:`~repro.reliability.errors.DecodeError` when the
     codes are not decodable under the (seeded) dictionary — a tampered

@@ -42,10 +42,36 @@ from ..observability import schema as ev
 from ..reliability.atomic import atomic_write_bytes
 from ..reliability.errors import ContainerError, ReproError
 
-__all__ = ["ResultCache"]
+__all__ = ["ResultCache", "parse_entry"]
 
 #: Entry filename suffix (anything else in the tree is ignored).
 _SUFFIX = ".entry"
+
+
+def parse_entry(fingerprint: str, data: bytes) -> Tuple[Dict[str, Any], bytes]:
+    """Split one entry file into ``(reply fields, container bytes)``.
+
+    The entry's own framing only (metadata line, key, container CRC,
+    fields); its first fault raises :class:`ContainerError` naming it.
+    """
+    newline = data.find(b"\n")
+    if newline < 0:
+        raise ContainerError("no metadata line")
+    try:
+        meta = json.loads(data[:newline].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        raise ContainerError("metadata line unreadable") from None
+    if not isinstance(meta, dict) or meta.get("fingerprint") != fingerprint:
+        raise ContainerError(
+            "fingerprint mismatch (entry does not answer its own key)"
+        )
+    container = data[newline + 1 :]
+    if meta.get("crc") != zlib.crc32(container):
+        raise ContainerError("container CRC mismatch")
+    fields = meta.get("fields")
+    if not isinstance(fields, dict):
+        raise ContainerError("reply fields missing")
+    return fields, container
 
 
 class ResultCache:
@@ -101,22 +127,8 @@ class ResultCache:
     def _verify(
         self, fingerprint: str, data: bytes
     ) -> Optional[Tuple[Dict[str, Any], bytes]]:
-        newline = data.find(b"\n")
-        if newline < 0:
-            return None
         try:
-            meta = json.loads(data[:newline].decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            return None
-        if not isinstance(meta, dict) or meta.get("fingerprint") != fingerprint:
-            return None
-        container = data[newline + 1 :]
-        if meta.get("crc") != zlib.crc32(container):
-            return None
-        fields = meta.get("fields")
-        if not isinstance(fields, dict):
-            return None
-        try:
+            fields, container = parse_entry(fingerprint, data)
             # verify=False still checks the header and payload CRCs;
             # deep_verify additionally decodes the stream and checks
             # the stored digest (catches CRC-preserving tampering).

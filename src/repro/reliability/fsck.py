@@ -314,21 +314,12 @@ def _journal_lines(data: bytes) -> Tuple[bytes, List[bytes], List[str]]:
 
 def _check_cache_entry(path: Path, data: bytes) -> Optional[str]:
     """None when the entry verifies, else a fault description."""
-    fingerprint = path.name[: -len(".entry")]
-    newline = data.find(b"\n")
-    if newline < 0:
-        return "no metadata line"
+    from ..fleet.cache import parse_entry
+
     try:
-        meta = json.loads(data[:newline].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return "metadata line unreadable"
-    if not isinstance(meta, dict) or meta.get("fingerprint") != fingerprint:
-        return "fingerprint mismatch (entry does not answer its own key)"
-    container = data[newline + 1 :]
-    if meta.get("crc") != zlib.crc32(container):
-        return "container CRC mismatch"
-    if not isinstance(meta.get("fields"), dict):
-        return "reply fields missing"
+        _, container = parse_entry(path.name[: -len(".entry")], data)
+    except ContainerError as exc:
+        return exc.message
     report = verify_container(container)
     if not report.ok:
         failed = [check.name for check in report.checks if not check.ok]

@@ -110,7 +110,7 @@ def decode_partial(compressed: CompressedStream) -> PartialDecodeResult:
     from ..container import _decode_prefix
 
     config = compressed.config
-    chars, decoded, error = _decode_prefix(compressed.codes, config)
+    chars, decoded, error, _ = _decode_prefix(compressed.codes, config)
     prefix = _chars_to_stream(chars, config, None)
     if error is None:
         try:

@@ -763,8 +763,9 @@ class CompressionServer:
         """Chunked raw-bytes compression into a v5 frame journal.
 
         The payload is opaque bytes (the X-density-0 degenerate mode);
-        the worker feeds it to the incremental encoder ``chunk_bytes``
-        at a time, checking the request's cancellation token *between
+        the worker feeds it through the stream front door
+        (:func:`~repro.streamio.write_stream`) ``chunk_bytes`` at a
+        time with the request's cancellation token, checked *between
         every chunk* — a deadline that expires mid-stream stops at the
         next chunk boundary and replies 408 instead of finishing a
         doomed encode.  Backpressure is the service's existing
@@ -777,57 +778,37 @@ class CompressionServer:
         """
         import io
 
-        from ..bitstream import TernaryVector
-        from ..core.stream import StreamEncoder
-        from ..streamio import DEFAULT_CODES_PER_FRAME, StreamContainerWriter
+        from ..streamio import DEFAULT_CODES_PER_FRAME, raw_chunks, write_stream
 
-        rec = self.recorder
-        config = job.config or LZWConfig()
-        chunk_bytes = job.header.get("chunk_bytes", 1 << 16)
-        if not isinstance(chunk_bytes, int) or chunk_bytes < 1:
-            raise ProtocolError(
-                "chunk_bytes must be a positive integer",
-                reason="bad_field",
-                field="chunk_bytes",
-            )
-        codes_per_frame = job.header.get("codes_per_frame", DEFAULT_CODES_PER_FRAME)
-        if not isinstance(codes_per_frame, int) or codes_per_frame < 1:
-            raise ProtocolError(
-                "codes_per_frame must be a positive integer",
-                reason="bad_field",
-                field="codes_per_frame",
-            )
-        data = job.payload
-        encoder = StreamEncoder(config, recorder=rec, cancel=job.token)
-        sink = io.BytesIO()
-        writer = StreamContainerWriter(
-            config, sink, codes_per_frame=codes_per_frame, recorder=rec
-        )
-        chunks = 0
-        for start in range(0, len(data), chunk_bytes):
-            job.token.check()  # per-chunk deadline/cancellation checkpoint
-            buf = data[start : start + chunk_bytes]
-            writer.write_codes(
-                encoder.feed(
-                    TernaryVector.from_int(
-                        int.from_bytes(buf, "little"), len(buf) * 8
-                    )
+        def positive(field: str, default: int) -> int:
+            value = job.header.get(field, default)
+            if not isinstance(value, int) or value < 1:
+                raise ProtocolError(
+                    f"{field} must be a positive integer",
+                    reason="bad_field",
+                    field=field,
                 )
-            )
-            chunks += 1
-            if rec.enabled:
-                rec.incr(ev.STREAM_CHUNKS_FED)
-        job.token.check()
-        writer.finalize(encoder.finalize(), encoder.original_bits)
+            return value
+
+        data = job.payload
+        sink = io.BytesIO()
+        written = write_stream(
+            job.config or LZWConfig(),
+            raw_chunks(data, positive("chunk_bytes", 1 << 16)),
+            sink,
+            codes_per_frame=positive("codes_per_frame", DEFAULT_CODES_PER_FRAME),
+            recorder=self.recorder,
+            cancel=job.token,
+        )
         container = sink.getvalue()
         ratio = (
             100.0 * (1.0 - len(container) / len(data)) if data else 0.0
         )
         fields = {
-            "original_bits": encoder.original_bits,
+            "original_bits": written.original_bits,
             "container_bytes": len(container),
-            "frames": writer.frames_written,
-            "chunks": chunks,
+            "frames": written.frames,
+            "chunks": written.chunks,
             "ratio_percent": round(ratio, 4),
         }
         return fields, container

@@ -82,6 +82,7 @@ alert).
 from __future__ import annotations
 
 import hashlib
+import io
 import struct
 import zlib
 from typing import (
@@ -111,6 +112,7 @@ __all__ = [
     "StreamContainerReader",
     "StreamContainerWriter",
     "StreamScan",
+    "StreamWrite",
     "TerminalRecord",
     "V5_HEADER_CRC_OFFSET",
     "V5_HEADER_SIZE",
@@ -121,12 +123,15 @@ __all__ = [
     "decode_stream_bytes",
     "frame_seal",
     "iter_decode_stream",
+    "iter_raw_bytes",
     "pack_chars",
     "pack_frame_payload",
+    "raw_chunks",
     "read_stream_header",
     "scan_stream",
     "stream_header_bytes",
     "terminal_frame_bytes",
+    "write_stream",
 ]
 
 _MAGIC = b"LZWT"
@@ -354,14 +359,6 @@ class StreamContainerWriter:
         header = stream_header_bytes(config)
         self._emit(header)
         self._sync()
-
-    @property
-    def frames_written(self) -> int:
-        return self._frame_index
-
-    @property
-    def bytes_written(self) -> int:
-        return self._bytes_written
 
     def _emit(self, data: bytes) -> None:
         self.sink.write(data)
@@ -700,8 +697,6 @@ class StreamScan(NamedTuple):
 
 def scan_stream(data: bytes) -> StreamScan:
     """Scan container bytes, collecting frames until the first fault."""
-    import io
-
     reader = StreamContainerReader(io.BytesIO(data))
     frames: List[FrameRecord] = []
     error: Optional[ContainerError] = None
@@ -852,8 +847,6 @@ def decode_stream_bytes(
     per-frame dictionary digests; any fault raises the typed
     :class:`ContainerError` (use salvage for best-effort recovery).
     """
-    import io
-
     rec = recorder if recorder is not None else NULL_RECORDER
     if rec.enabled:
         rec.incr(ev.CONTAINER_BYTES_READ, len(data))
@@ -864,3 +857,96 @@ def decode_stream_bytes(
     total_bits = reader.terminal.total_original_bits
     stream = chars_to_vector(tuple(all_chars), reader.config.char_bits)
     return stream[:total_bits]
+
+
+# ----------------------------------------------------------------------
+# The front door: chunks in, frames out; raw bytes both ways
+# ----------------------------------------------------------------------
+
+
+class StreamWrite(NamedTuple):
+    """What :func:`write_stream` fed and wrote."""
+
+    original_bits: int
+    chunks: int
+    frames: int
+    bytes_written: int
+
+
+def write_stream(
+    config: LZWConfig,
+    chunks: Iterable[TernaryVector],
+    sink,
+    codes_per_frame: int = DEFAULT_CODES_PER_FRAME,
+    recorder: Optional[Recorder] = None,
+    cancel: Optional[object] = None,
+) -> StreamWrite:
+    """Encode ``chunks`` through one encoder into one sealed v5 journal.
+
+    The one hand-off from :class:`StreamEncoder` to
+    :class:`StreamContainerWriter`, sealed with the encoder's own
+    ``original_bits``; the bytes never depend on how the input is cut.
+    ``cancel`` (any object with a raising ``check()``) is checked
+    before every chunk and before the seal; ``recorder`` also counts
+    ``stream.chunks_fed``.
+    """
+    rec = recorder if recorder is not None else NULL_RECORDER
+    encoder = StreamEncoder(config, recorder=rec, cancel=cancel)
+    writer = StreamContainerWriter(config, sink, codes_per_frame, rec)
+    fed = 0
+    for chunk in chunks:
+        if cancel is not None:
+            cancel.check()
+        writer.write_codes(encoder.feed(chunk))
+        fed += 1
+        if rec.enabled:
+            rec.incr(ev.STREAM_CHUNKS_FED)
+    if cancel is not None:
+        cancel.check()
+    writer.finalize(encoder.finalize(), encoder.original_bits)
+    return StreamWrite(
+        encoder.original_bits, fed, writer._frame_index, writer._bytes_written
+    )
+
+
+def raw_chunks(source, chunk_bytes: int) -> Iterator[TernaryVector]:
+    """Raw bytes in: a bytes object or binary file, ``chunk_bytes`` at a time.
+
+    Bit *i* of the stream is bit *i* of the little-endian byte string:
+    every bit is a care bit (X-density 0, where the X-aware encoder is
+    classical LZW).
+    """
+    if isinstance(source, (bytes, bytearray)):
+        source = io.BytesIO(source)
+    while True:
+        buf = source.read(chunk_bytes)
+        if not buf:
+            return
+        yield TernaryVector.from_int(int.from_bytes(buf, "little"), len(buf) * 8)
+
+
+def iter_raw_bytes(
+    reader: StreamContainerReader, recorder: Optional[Recorder] = None
+) -> Iterator[bytes]:
+    """Raw bytes out: the inverse of :func:`raw_chunks`, frame by frame.
+
+    Never emits past a frame's attested ``original_bits_cum`` (the
+    final frame's X-padded partial character stays behind) and
+    zero-pads only a final partial byte.  Once exhausted,
+    ``reader.terminal`` holds the sealed totals.
+    """
+    char_bits = reader.config.char_bits
+    acc = acc_bits = emitted_bits = 0
+    for chars, frame in iter_decode_stream(reader, recorder=recorder):
+        acc |= chars_to_vector(chars, char_bits).value_mask << acc_bits
+        acc_bits += len(chars) * char_bits
+        nbytes = min(acc_bits, frame.original_bits_cum - emitted_bits) // 8
+        if nbytes:
+            yield (acc & ((1 << (nbytes * 8)) - 1)).to_bytes(nbytes, "little")
+            acc >>= nbytes * 8
+            acc_bits -= nbytes * 8
+            emitted_bits += nbytes * 8
+    tail_bits = reader.terminal.total_original_bits - emitted_bits
+    if tail_bits > 0:
+        acc &= (1 << tail_bits) - 1
+        yield acc.to_bytes((tail_bits + 7) // 8, "little")

@@ -35,8 +35,7 @@ from repro.container import (
 )
 from repro.core import LZWConfig, compress
 from repro.core.decoder import derive_final_snapshot
-from repro.core.stream import StreamEncoder
-from repro.streamio import StreamContainerWriter
+from repro.streamio import write_stream
 
 CONFIG = LZWConfig(char_bits=4, dict_size=64, entry_bits=20)
 _HEADER_V1 = struct.Struct(">4sBBIIQQI")
@@ -81,11 +80,8 @@ def build() -> dict:
 
     import io
 
-    encoder = StreamEncoder(CONFIG)
     sink = io.BytesIO()
-    writer = StreamContainerWriter(CONFIG, sink, codes_per_frame=16)
-    writer.write_codes(encoder.feed(stream_a))
-    writer.finalize(encoder.finalize(), encoder.original_bits)
+    write_stream(CONFIG, [stream_a], sink, codes_per_frame=16)
     v5 = sink.getvalue()
 
     return {

@@ -13,26 +13,23 @@ import zlib
 
 import pytest
 
+from repro.cli import main
 from repro.container import dump_bytes
 from repro.core import compress
-from repro.core.stream import StreamEncoder
 from repro.fleet.cache import ResultCache
 from repro.parallel.engine import ShardResult
 from repro.parallel.journal import ShardJournal
 from repro.reliability.fsck import FsckReport, detect_kind, fsck_paths
 from repro.reliability.verify import verify_container
-from repro.streamio import StreamContainerWriter, decode_stream_bytes
+from repro.streamio import decode_stream_bytes, write_stream
 
 FIXDIR = "tests/fixtures/containers"
 FIXTURES = ["v1.lzwt", "v2.lzwt", "v3.lzwt", "v4.lzwt", "v5.lzwt", "dict.lzws"]
 
 
 def v5_bytes(config, original, codes_per_frame=8):
-    encoder = StreamEncoder(config)
     sink = io.BytesIO()
-    writer = StreamContainerWriter(config, sink, codes_per_frame=codes_per_frame)
-    writer.write_codes(encoder.feed(original))
-    writer.finalize(encoder.finalize(), encoder.original_bits)
+    write_stream(config, [original], sink, codes_per_frame=codes_per_frame)
     return sink.getvalue()
 
 
@@ -244,6 +241,70 @@ class TestCacheScrub:
         assert report.ok
         stats = next(iter(report.scrub_stats.values()))
         assert stats["scanned"] == 3
+
+
+def _entry(key, container, **meta):
+    """A cache entry file: one JSON metadata line, then the container."""
+    meta = {"fingerprint": key, "crc": zlib.crc32(container),
+            "fields": {"op": "compress"}, **meta}
+    meta = {name: value for name, value in meta.items() if value is not None}
+    return json.dumps(meta).encode("utf-8") + b"\n" + container
+
+
+#: (tamper, fault text ``repro fsck`` reports) per broken framing field.
+TAMPERED_ENTRIES = {
+    "no-newline": (
+        lambda fp, c: _entry(fp, c).split(b"\n", 1)[0],
+        "no metadata line",
+    ),
+    "bad-json": (lambda fp, c: b"{not json\n" + c, "metadata line unreadable"),
+    "wrong-fingerprint": (
+        lambda fp, c: _entry(fp, c, fingerprint="ff" * 32),
+        "fingerprint mismatch (entry does not answer its own key)",
+    ),
+    "crc-mismatch": (
+        lambda fp, c: _entry(fp, c, crc=zlib.crc32(c) ^ 1),
+        "container CRC mismatch",
+    ),
+    "missing-fields": (
+        lambda fp, c: _entry(fp, c, fields=None),
+        "reply fields missing",
+    ),
+}
+
+
+class TestCacheEntryFormat:
+    """The cache and fsck share one parser of the entry framing."""
+
+    FINGERPRINT = "3c" * 32
+
+    @pytest.fixture
+    def entry_path(self, tmp_path):
+        path = tmp_path / "cache" / self.FINGERPRINT[:2] / f"{self.FINGERPRINT}.entry"
+        path.parent.mkdir(parents=True)
+        return path
+
+    def test_good_entry_hits_and_is_clean(
+        self, entry_path, campaign_container, capsys
+    ):
+        entry_path.write_bytes(_entry(self.FINGERPRINT, campaign_container))
+        assert main(["fsck", str(entry_path)]) == 0
+        cache = ResultCache(entry_path.parent.parent)
+        assert cache.get(self.FINGERPRINT) == (
+            {"op": "compress"}, campaign_container,
+        )
+
+    @pytest.mark.parametrize("tamper", sorted(TAMPERED_ENTRIES))
+    def test_tampered_entry_misses_and_fsck_names_the_fault(
+        self, tamper, entry_path, campaign_container, capsys
+    ):
+        build, fault = TAMPERED_ENTRIES[tamper]
+        entry_path.write_bytes(build(self.FINGERPRINT, campaign_container))
+        assert main(["fsck", str(entry_path)]) == 4
+        assert f"[cache-entry] salvageable: {fault}" in capsys.readouterr().out
+        cache = ResultCache(entry_path.parent.parent)
+        assert cache.get(self.FINGERPRINT) is None
+        assert not entry_path.exists()  # quarantined on the read path
 
 
 class TestTmpSweep:

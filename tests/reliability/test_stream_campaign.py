@@ -13,12 +13,12 @@ import random
 import pytest
 
 from repro.bitstream import TernaryVector
-from repro.core import LZWConfig, StreamEncoder, compress
+from repro.core import LZWConfig, compress
 from repro.reliability.campaign import TrialOutcome, run_campaign
 from repro.reliability.inject import STREAM_INJECTORS, inject
 from repro.reliability.salvage import salvage_container
 from repro.reliability.verify import verify_container
-from repro.streamio import StreamContainerWriter, decode_stream_bytes, scan_stream
+from repro.streamio import decode_stream_bytes, scan_stream, write_stream
 
 SEEDS = range(40)
 
@@ -33,12 +33,11 @@ def stream_original():
 
 @pytest.fixture(scope="module")
 def stream_container(stream_original):
-    enc = StreamEncoder(CFG)
     sink = io.BytesIO()
-    writer = StreamContainerWriter(CFG, sink, codes_per_frame=24)
-    for i in range(0, len(stream_original), 300):
-        writer.write_codes(enc.feed(stream_original[i : i + 300]))
-    writer.finalize(enc.finalize(), enc.original_bits)
+    chunks = (
+        stream_original[i : i + 300] for i in range(0, len(stream_original), 300)
+    )
+    write_stream(CFG, chunks, sink, codes_per_frame=24)
     data = sink.getvalue()
     assert len(scan_stream(data).frames) >= 4, "campaign needs several frames"
     return data
