@@ -848,6 +848,10 @@ def _walk_segment(
                     actual=actual,
                 ),
             )
+        if step.compressed is not None and seed is None and link is None:
+            # The checked decode of a cold segment is what decode() of
+            # the loaded stream would compute: hand it over.
+            object.__setattr__(step.compressed, "_decoded", step.stream)
     return step
 
 
@@ -950,10 +954,15 @@ def load_bytes(
 ) -> CompressedStream:
     """Parse v1/v2 container bytes back into a :class:`CompressedStream`.
 
-    With ``verify`` (the default) a version-2 container's decoded stream
-    is checked against the stored digest, which catches corruptions that
-    preserve both CRCs; pass ``verify=False`` to skip the extra decode
-    when the caller decodes (and therefore validates) the stream anyway.
+    With ``verify`` (the default) a version-2 container is decoded and
+    the decode checked against the stored digest, which catches
+    corruptions that keep both CRCs valid.  The checked decode stays on
+    the returned stream, so a following
+    :func:`~repro.core.decoder.decode` of it costs nothing.
+    ``verify=False`` skips the decode and with it the only check against
+    such tampering: a later ``decode`` never looks at the digest.  Pass
+    it only when the stream is not decoded under its stored digest at
+    all (a seeded segment, or a read of the codes alone).
     """
     return _load(data, 2, verify, recorder)[0].compressed
 

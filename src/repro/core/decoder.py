@@ -63,7 +63,13 @@ def decode(
     produced by an encoder whose dictionary started from ``seed`` (and,
     for pipelined-wave shards, whose previous phrase ended at code
     ``link``) — see :func:`iter_decode`.
+
+    A cold ``compressed`` returned by a verifying container load
+    already carries the decode its digest was checked on; that stream
+    is returned as is, and ``recorder`` sees no decode.
     """
+    if seed is None and link is None and compressed._decoded is not None:
+        return compressed._decoded
     chars = decode_codes(
         compressed.codes, compressed.config, recorder, seed=seed, link=link
     )

@@ -11,6 +11,7 @@ codes themselves, so no side information is transmitted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import List, Optional, Tuple
 
 from ..bitstream import BitReader, BitWriter, TernaryVector
@@ -18,7 +19,7 @@ from ..observability import Recorder
 from .config import LZWConfig
 from .dictionary import DictionarySnapshot
 from .metrics import compression_percent, compression_ratio
-from .stream import EncodeStats, StreamEncoder
+from .stream import EncodeStats, StreamEncoder, chars_to_vector
 
 __all__ = ["CompressedStream", "EncodeStats", "LZWEncoder"]
 
@@ -30,12 +31,22 @@ class CompressedStream:
     ``expansion_chars[i]`` records how many characters code ``codes[i]``
     expands to — redundant for decoding but required by the hardware
     download-time model (:mod:`repro.hardware.timing`).
+
+    ``_decoded`` is not a constructor argument and takes no part in
+    equality: a strict container load sets it to the decode whose
+    digest it checked on a cold segment, and
+    :func:`~repro.core.decoder.decode` of the same object (no seed, no
+    link) returns it instead of decoding again.  A stream built any
+    other way, ``dataclasses.replace`` included, starts without it.
     """
 
     codes: Tuple[int, ...]
     config: LZWConfig
     original_bits: int
     expansion_chars: Tuple[int, ...] = field(repr=False, default=())
+    _decoded: Optional[TernaryVector] = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self) -> None:
         # Range-validate the whole tuple with C-speed min/max; the
@@ -135,6 +146,7 @@ class LZWEncoder:
         self.seed = seed
         self.link = link
         self._used = False
+        self._strings: List[Tuple[int, ...]] = []
 
     def encode(self, stream: TernaryVector) -> CompressedStream:
         """Compress a ternary scan stream into a :class:`CompressedStream`.
@@ -150,10 +162,30 @@ class LZWEncoder:
             raise RuntimeError("LZWEncoder instances are single-use; make a new one")
         self._used = True
         driver = self._driver
-        driver.expansions = expansions = []
+        driver.expansions = self._strings
         codes = driver.feed(stream)
         codes += driver.finalize()
-        return CompressedStream(tuple(codes), self.config, len(stream), tuple(expansions))
+        return CompressedStream(
+            tuple(codes),
+            self.config,
+            len(stream),
+            tuple(map(len, self._strings)),
+        )
+
+    def assigned_stream(self) -> TernaryVector:
+        """The fully specified stream the decoder will reproduce.
+
+        It is the input with every X resolved: the concatenated
+        dictionary strings of the emitted codes, truncated to the input
+        length (the last character's X padding dropped).  The decoder
+        rebuilds the same dictionary, so this is what decoding the codes
+        yields, taken without a decode (call after :meth:`encode`).
+        """
+        if not self._used:
+            raise RuntimeError("encode() has not been called yet")
+        chars = list(chain.from_iterable(self._strings))
+        vector = chars_to_vector(chars, self.config.char_bits)
+        return vector[: self._driver.original_bits]
 
     def stats(self) -> EncodeStats:
         """Statistics of the completed run (call after :meth:`encode`)."""

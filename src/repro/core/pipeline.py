@@ -3,7 +3,7 @@
 :func:`compress` runs the don't-care-aware LZW encoder on a ternary scan
 stream and returns a :class:`CompressionResult` bundling the code
 stream, the implied X assignment and the dictionary statistics every
-experiment needs.  :meth:`CompressionResult.verify` re-decodes and
+experiment needs.  :meth:`CompressionResult.verify` decodes and
 checks the central invariant: the decompressed stream must *cover* the
 original cubes (reproduce every specified bit).
 """
@@ -99,9 +99,11 @@ def compress(
     whatever concrete fill the encoder chose (which trivially covers
     it).  Both are locked in by ``tests/reliability/test_degenerate``.
 
-    ``recorder`` (see :mod:`repro.observability`) collects encode/decode
+    ``recorder`` (see :mod:`repro.observability`) collects the encode
     counters plus ``encode``/``assign`` wall-time spans; the default
-    null recorder costs one flag check.
+    null recorder costs one flag check.  No decoder runs here: the
+    assigned stream is packed from the dictionary strings of the codes
+    the encoder emitted, which is what the decoder rebuilds.
 
     ``cancel`` is a cooperative cancellation token (any object with a
     raising ``check()``; see :class:`repro.service.cancel.
@@ -117,7 +119,7 @@ def compress(
     if cancel is not None:
         cancel.check()
     with rec.span("assign"):
-        assigned = decode(compressed, recorder=rec, seed=seed, link=link)
+        assigned = encoder.assigned_stream()
     if cancel is not None:
         cancel.check()
     return CompressionResult(compressed, assigned, encoder.stats(), seed, link)

@@ -166,9 +166,10 @@ class StreamEncoder:
         self._total_chars = 0
         self._codes_emitted = 0
         self._longest_phrase = 0
-        #: When a list, each emitted code's expansion length is appended
-        #: (the one-shot ``CompressedStream.expansion_chars``).
-        self.expansions: Optional[List[int]] = None
+        #: When a list, each emitted code's dictionary string is appended
+        #: (the one-shot encoder's assigned stream and, by length,
+        #: ``CompressedStream.expansion_chars``).
+        self.expansions: Optional[List[Tuple[int, ...]]] = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -339,7 +340,7 @@ class StreamEncoder:
         codes.append(code)
         self._codes_emitted += 1
         if self.expansions is not None:
-            self.expansions.append(self.dictionary.nchars(code))
+            self.expansions.append(self.dictionary.string(code))
         if end - start > self._longest_phrase:
             self._longest_phrase = end - start
         recording = self.recorder.enabled

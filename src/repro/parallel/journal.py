@@ -217,7 +217,8 @@ class ShardJournal:
             # A seeded shard's stored v2 digest covers its *seeded*
             # decode; load raw and decode under the recorded seed, so a
             # corrupt seed/link simply discards the entry and the shard
-            # is re-encoded.
+            # is re-encoded.  A cold shard's verified load already holds
+            # its decode, which decode(loaded) returns.
             loaded = load_bytes(container, verify=cold)
             compressed = CompressedStream(
                 loaded.codes,
@@ -232,7 +233,7 @@ class ShardJournal:
             result = ShardResult(
                 index=key[1],
                 compressed=compressed,
-                assigned_stream=decode(compressed, seed=seed, link=link),
+                assigned_stream=decode(loaded, seed=seed, link=link),
                 stats=EncodeStats(**record["stats"]),
                 metrics=record.get("metrics"),
                 seed_mode=int(record.get("seed_mode", 0)),

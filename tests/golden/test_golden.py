@@ -7,11 +7,11 @@ configurations) this locks down, per case:
   SHA-256 of the v2 container bytes;
 * the batch path — segment count and the SHA-256 of the multi-segment
   container produced by a fixed pattern-aligned shard plan;
-* the recorder-counter snapshot of the serial encode+assign pass — the
-  per-decision event counts (dictionary allocations, C_MDATA
-  truncations, X bits resolved, ...) that byte digests cannot localise:
-  a digest mismatch says *something* changed, the counter diff says
-  *which decision site*.
+* the recorder-counter snapshot of the serial ``compress`` (encode plus
+  assign, which runs no decoder) — the per-decision event counts
+  (dictionary allocations, C_MDATA truncations, X bits resolved, ...)
+  that byte digests cannot localise: a digest mismatch says
+  *something* changed, the counter diff says *which decision site*.
 
 Every case runs under *both* encoder engines against the same frozen
 entry: the fast path must reproduce the reference's artefacts exactly

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.container import load_bytes
 from repro.observability import SCHEMA_VERSION, strip_timing
 from repro.testfile import write_test_file
 from repro.workloads import build_testset
@@ -26,12 +27,19 @@ def _read(path):
 class TestCompressMetrics:
     def test_writes_envelope(self, cube_file, tmp_path, capsys):
         out = tmp_path / "m.json"
-        rc = main(["compress", cube_file, "--metrics-json", str(out)])
+        container = tmp_path / "c.lzwt"
+        rc = main(
+            ["compress", cube_file, "-o", str(container), "--metrics-json", str(out)]
+        )
         assert rc == 0
         snap = _read(out)
         assert snap["schema"] == SCHEMA_VERSION
         assert snap["counters"]["encode.codes"] > 0
-        assert snap["counters"]["decode.codes"] == snap["counters"]["encode.codes"]
+        # compress takes its X assignment from the encoder: no decode
+        # runs, and the container it writes decodes under its digest.
+        assert not any(name.startswith("decode.") for name in snap["counters"])
+        loaded = load_bytes(container.read_bytes(), verify=True)
+        assert loaded.num_codes == snap["counters"]["encode.codes"]
         assert [s["name"] for s in snap["spans"]][:2] == ["encode", "assign"]
         assert f"wrote {out}" in capsys.readouterr().out
 
