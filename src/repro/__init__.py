@@ -9,46 +9,35 @@ Quick use::
     cubes = TernaryVector("01XX10XXX1" * 100)
     result = compress(cubes, LZWConfig(char_bits=7, dict_size=1024))
     print(result.ratio_percent)
+
+The names below load on first use (PEP 562): ``import repro`` imports
+none of the subpackages, so a process pays only for what it touches.
 """
 
-from .bitstream import TernaryVector, X
-from .core import (
-    CompressedStream,
-    CompressionResult,
-    LZWConfig,
-    compress,
-    compress_batch,
-    decompress,
-)
-from .observability import (
-    CompositeRecorder,
-    CounterRecorder,
-    NullRecorder,
-    Recorder,
-    SpanRecorder,
-)
-from .parallel import BatchItemResult, ShardPlan, plan_shards
-from .reliability import ReproError
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BatchItemResult",
-    "CompositeRecorder",
-    "CompressedStream",
-    "CompressionResult",
-    "CounterRecorder",
-    "LZWConfig",
-    "NullRecorder",
-    "Recorder",
-    "ReproError",
-    "ShardPlan",
-    "SpanRecorder",
-    "TernaryVector",
-    "X",
-    "compress",
-    "compress_batch",
-    "decompress",
-    "plan_shards",
-    "__version__",
-]
+_EXPORTS = {
+    "BatchItemResult": ".parallel.engine",
+    "CompositeRecorder": ".observability.recorder",
+    "CompressedStream": ".core.encoder",
+    "CompressionResult": ".core.pipeline",
+    "CounterRecorder": ".observability.recorder",
+    "LZWConfig": ".core.config",
+    "NullRecorder": ".observability.recorder",
+    "Recorder": ".observability.recorder",
+    "ReproError": ".reliability.errors",
+    "ShardPlan": ".parallel.shard",
+    "SpanRecorder": ".observability.recorder",
+    "TernaryVector": ".bitstream.ternary",
+    "X": ".bitstream.ternary",
+    "compress": ".core.pipeline",
+    "compress_batch": ".core.pipeline",
+    "decompress": ".core.pipeline",
+    "plan_shards": ".parallel.shard",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

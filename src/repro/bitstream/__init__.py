@@ -1,19 +1,20 @@
 """Bit-level substrate: ternary vectors, chunking, variable-width I/O and
-fixed-width code packing."""
+fixed-width code packing.  Names load on first use (PEP 562)."""
 
-from .bitio import BitReader, BitWriter
-from .codepack import pack_codes, unpack_codes
-from .packing import from_characters, pad_length, to_characters
-from .ternary import TernaryVector, X
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BitReader",
-    "BitWriter",
-    "TernaryVector",
-    "X",
-    "from_characters",
-    "pack_codes",
-    "pad_length",
-    "to_characters",
-    "unpack_codes",
-]
+_EXPORTS = {
+    "BitReader": ".bitio",
+    "BitWriter": ".bitio",
+    "pack_codes": ".codepack",
+    "unpack_codes": ".codepack",
+    "from_characters": ".packing",
+    "pad_length": ".packing",
+    "to_characters": ".packing",
+    "TernaryVector": ".ternary",
+    "X": ".ternary",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

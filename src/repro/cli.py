@@ -56,35 +56,17 @@ import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from .analysis import entropy_lower_bound, power_report, testset_profile
-from .atpg import generate_tests
-from .baselines import GolombCompressor, LZ77Compressor
-from .circuit import BUILTIN_CIRCUITS, TestSet, load_bench, load_builtin, random_circuit
-from .bitstream import TernaryVector
-from .container import _load, dump_file
-from .core import LZWConfig, compress, compress_batch, decompress
-from .experiments import ALL_TABLES, Lab
-from .hardware import (
-    MemoryRequirements,
-    analyze_download,
-    generate_decompressor,
-    generate_testbench,
-)
-from .observability import (
-    CompositeRecorder,
-    CounterRecorder,
-    SpanRecorder,
-    metrics_snapshot,
-    write_metrics_json,
-)
-from .parallel import RetryPolicy, SeedPlan
-from .reliability import ConfigError, ReproError
-from .reliability.atomic import atomic_write_bytes, atomic_write_text
-from .reliability.verify import verify_container
-from .testfile import read_test_file, write_test_file
-from .workloads import available_workloads, build_testset
+from .reliability.errors import ConfigError, ReproError
+
+if TYPE_CHECKING:
+    from .core.config import LZWConfig
+    from .observability.recorder import CompositeRecorder
+
+# Each subcommand imports what it uses, so `repro serve` does not load
+# the ATPG or the paper tables, and a spawn worker of `repro batch`
+# (which re-runs this module as its __main__) stays on the encode path.
 
 __all__ = ["main"]
 
@@ -118,6 +100,12 @@ def _add_lzw_options(parser: argparse.ArgumentParser) -> None:
 def _metrics_recorder(args: argparse.Namespace) -> Optional[CompositeRecorder]:
     """A counter+span sink when ``--metrics-json`` was given, else None."""
     if getattr(args, "metrics_json", None):
+        from .observability.recorder import (
+            CompositeRecorder,
+            CounterRecorder,
+            SpanRecorder,
+        )
+
         return CompositeRecorder([CounterRecorder(), SpanRecorder()])
     return None
 
@@ -127,6 +115,8 @@ def _emit_metrics(
 ) -> None:
     """Write the recorder snapshot to the ``--metrics-json`` path."""
     if recorder is not None:
+        from .observability.schema import write_metrics_json
+
         write_metrics_json(recorder, args.metrics_json)
         print(f"wrote {args.metrics_json}")
 
@@ -146,6 +136,7 @@ def _interruptible_metrics(recorder, args: argparse.Namespace):
     if recorder is None or not getattr(args, "metrics_json", None):
         yield
         return
+    from .observability.schema import write_metrics_json
 
     def _on_signal(signum, frame):
         write_metrics_json(recorder, args.metrics_json, partial=True)
@@ -169,6 +160,8 @@ def _interruptible_metrics(recorder, args: argparse.Namespace):
 
 
 def _config_from(args: argparse.Namespace) -> LZWConfig:
+    from .core.config import LZWConfig
+
     return LZWConfig(
         char_bits=args.char_bits,
         dict_size=args.dict_size,
@@ -297,6 +290,11 @@ def _cmd_decompress_stream(args: argparse.Namespace, source, close_source) -> in
 def _cmd_compress(args: argparse.Namespace) -> int:
     if args.stream:
         return _cmd_compress_stream(args)
+    from .container import dump_file
+    from .core.pipeline import compress
+    from .hardware import MemoryRequirements, analyze_download
+    from .testfile import read_test_file
+
     test_set = read_test_file(args.file)
     print(test_set.summary())
     stream = test_set.to_stream()
@@ -317,6 +315,8 @@ def _cmd_compress(args: argparse.Namespace) -> int:
         report = analyze_download(result.compressed, k)
         print(f"download improvement at {k}x clock: {report.improvement_percent:.2f}%")
     if args.compare:
+        from .baselines import GolombCompressor, LZ77Compressor
+
         for comp in (LZ77Compressor(), GolombCompressor()):
             r = comp.compress(stream)
             print(f"baseline {r.scheme}: {r.ratio_percent:.2f}%")
@@ -333,6 +333,10 @@ def _cmd_compress(args: argparse.Namespace) -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
+    from .parallel import RetryPolicy, SeedPlan, compress_batch
+    from .reliability.atomic import atomic_write_bytes, atomic_write_text
+    from .testfile import read_test_file
+
     config = _config_from(args)
     if args.resume and not args.checkpoint:
         raise ConfigError(
@@ -450,6 +454,10 @@ def _cmd_decompress(args: argparse.Namespace) -> int:
     if len(head) == 5 and head[:4] == b"LZWT" and head[4] == VERSION_STREAM:
         return _cmd_decompress_stream(args, source, True)
     source.close()
+    from .bitstream.ternary import TernaryVector
+    from .container import _load
+    from .reliability.atomic import atomic_write_text
+
     # One strict walk decodes each segment once and checks its digest
     # on that decode (the pass decode_container returns).
     segments = _load(Path(args.file).read_bytes(), 4, True, None, decode=True)
@@ -468,6 +476,9 @@ def _cmd_decompress(args: argparse.Namespace) -> int:
         if len(stream) % args.width:
             print(f"ERROR: {len(stream)} bits is not a multiple of {args.width}")
             return 1
+        from .circuit.scan import TestSet
+        from .testfile import write_test_file
+
         names = [f"sc{i}" for i in range(args.width)]
         test_set = TestSet.from_stream(stream, names, name=Path(args.file).stem)
         write_test_file(test_set, args.output)
@@ -478,6 +489,9 @@ def _cmd_decompress(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .reliability.verify import verify_container
+    from .testfile import read_test_file
+
     data = Path(args.file).read_bytes()
     original = read_test_file(args.against).to_stream() if args.against else None
     recorder = _metrics_recorder(args)
@@ -495,6 +509,9 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
     repaired), 3 only unrecognised/unreadable paths, 4 integrity
     faults remain (unrepaired, or repair refused).
     """
+    from .observability.recorder import CounterRecorder
+    from .observability.schema import metrics_snapshot
+    from .reliability.atomic import atomic_write_text
     from .reliability.fsck import fsck_paths
 
     recorder = CounterRecorder()
@@ -565,6 +582,9 @@ def _cmd_stats_raw(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     if args.raw:
         return _cmd_stats_raw(args)
+    from .analysis import entropy_lower_bound, power_report, testset_profile
+    from .testfile import read_test_file
+
     test_set = read_test_file(args.file)
     profile = testset_profile(test_set)
     print(test_set.summary())
@@ -581,6 +601,14 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     for name in ("repeat", "zero", "one"):
         print(f"scan-shift WTM with {name}-fill: {report.wtm[name]}")
     if args.encode or args.metrics_json:
+        from .core.pipeline import compress
+        from .observability.recorder import (
+            CompositeRecorder,
+            CounterRecorder,
+            SpanRecorder,
+        )
+        from .observability.schema import metrics_snapshot, write_metrics_json
+
         config = _config_from(args)
         recorder = CompositeRecorder([CounterRecorder(), SpanRecorder()])
         result = compress(test_set.to_stream(), config, recorder=recorder)
@@ -607,6 +635,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_rtl(args: argparse.Namespace) -> int:
+    from .hardware import generate_decompressor, generate_testbench
+
     config = _config_from(args)
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -614,6 +644,9 @@ def _cmd_rtl(args: argparse.Namespace) -> int:
     rtl_path.write_text(generate_decompressor(config))
     print(f"wrote {rtl_path} ({config.describe()})")
     if args.testbench:
+        from .core.pipeline import compress
+        from .testfile import read_test_file
+
         test_set = read_test_file(args.testbench)
         result = compress(test_set.to_stream(), config)
         tb_path = out_dir / "tb_lzw_decompressor.v"
@@ -625,7 +658,18 @@ def _cmd_rtl(args: argparse.Namespace) -> int:
 
 
 def _cmd_atpg(args: argparse.Namespace) -> int:
+    from .atpg import generate_tests
+    from .circuit import BUILTIN_CIRCUITS, load_bench, load_builtin, random_circuit
+    from .testfile import write_test_file
+
     if args.builtin:
+        if args.builtin not in BUILTIN_CIRCUITS:
+            raise ConfigError(
+                f"unknown builtin circuit {args.builtin!r}; one of "
+                f"{', '.join(BUILTIN_CIRCUITS)}",
+                field="builtin",
+                value=args.builtin,
+            )
         circuit = load_builtin(args.builtin)
     elif args.random:
         circuit = random_circuit(
@@ -651,6 +695,9 @@ def _cmd_atpg(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    from .testfile import write_test_file
+    from .workloads import build_testset
+
     test_set = build_testset(args.benchmark, scale=args.scale)
     print(test_set.summary())
     if args.output:
@@ -660,6 +707,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    from .experiments import ALL_TABLES, Lab
+
     runner = ALL_TABLES.get(args.name)
     if runner is None:
         print(f"unknown table {args.name!r}; known: {', '.join(sorted(ALL_TABLES))}")
@@ -795,6 +844,10 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
+    from .circuit import BUILTIN_CIRCUITS
+    from .experiments import ALL_TABLES
+    from .workloads import available_workloads
+
     del args
     print("workloads: " + " ".join(available_workloads()))
     print("tables:    " + " ".join(sorted(ALL_TABLES)))
@@ -1063,7 +1116,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("atpg", help="run ATPG on a .bench circuit")
     p.add_argument("file", nargs="?", help=".bench netlist")
-    p.add_argument("--builtin", choices=BUILTIN_CIRCUITS, help="shipped netlist")
+    p.add_argument(
+        "--builtin", metavar="NAME", help="shipped netlist (see `repro list`)"
+    )
     p.add_argument("--random", type=int, metavar="GATES", help="random circuit")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", help="write the cube file here")

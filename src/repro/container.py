@@ -139,9 +139,10 @@ from .core import (
     derive_final_snapshot,
 )
 from .core.decoder import _chars_to_stream
+from .core.dictionary import SEED_BLOB, SEED_CHAIN, SEED_COLD, SEED_MODE_NAMES
 from .core.stream import StreamDecoder
 from .observability import NULL_RECORDER, Recorder
-from .observability import schema as ev
+from .observability import events as ev
 from .reliability.atomic import atomic_write_bytes
 from .reliability.errors import (
     ConfigError,
@@ -177,12 +178,6 @@ _MAGIC = b"LZWT"
 _VERSION_STREAM = 5
 _FLAG_RESET_ON_FULL = 0x01
 _NO_BLOB = 0xFFFF
-
-# Segment seeding modes of the v4 format.
-SEED_COLD = 0
-SEED_BLOB = 1
-SEED_CHAIN = 2
-SEED_MODE_NAMES = {SEED_COLD: "cold", SEED_BLOB: "blob", SEED_CHAIN: "chain"}
 
 
 # ----------------------------------------------------------------------

@@ -1,73 +1,52 @@
-"""The paper's contribution: don't-care-aware LZW test compression."""
+"""The paper's contribution: don't-care-aware LZW test compression.
 
-from .config import ConfigError, ENGINES, LZWConfig, POLICIES
-from .decoder import (
-    DecodeError,
-    LZWDecodeError,
-    decode,
-    decode_codes,
-    derive_final_snapshot,
-    iter_decode,
-)
-from .dictionary import DictionarySnapshot, LZWDictionary
-from .dontcare import STATIC_FILLS, ChildSelector, static_fill
-from .encoder import CompressedStream, EncodeStats, LZWEncoder
-from .fastpath import PackedCandidateIndex, resolve_engine
-from .metrics import (
-    compression_percent,
-    compression_ratio,
-    geometric_mean,
-    x_density_percent,
-)
-from .multichain import (
-    MultiChainResult,
-    chain_streams,
-    compress_interleaved,
-    compress_per_chain,
-    deinterleave_stream,
-    interleave_stream,
-    partition_chains,
-)
-from .pipeline import CompressionResult, compress, compress_batch, decompress
-from .stream import StreamDecoder, StreamEncoder, chars_to_vector
+Public names load on first use (PEP 562), so importing one module of
+the package — the encoder, say — does not pull in the others.
+"""
 
-__all__ = [
-    "ENGINES",
-    "POLICIES",
-    "STATIC_FILLS",
-    "PackedCandidateIndex",
-    "ChildSelector",
-    "CompressedStream",
-    "CompressionResult",
-    "ConfigError",
-    "DecodeError",
-    "DictionarySnapshot",
-    "EncodeStats",
-    "LZWConfig",
-    "LZWDecodeError",
-    "LZWDictionary",
-    "LZWEncoder",
-    "MultiChainResult",
-    "StreamDecoder",
-    "StreamEncoder",
-    "chain_streams",
-    "chars_to_vector",
-    "compress",
-    "compress_batch",
-    "compress_interleaved",
-    "compress_per_chain",
-    "deinterleave_stream",
-    "interleave_stream",
-    "partition_chains",
-    "compression_percent",
-    "compression_ratio",
-    "decode",
-    "decode_codes",
-    "decompress",
-    "derive_final_snapshot",
-    "geometric_mean",
-    "iter_decode",
-    "resolve_engine",
-    "static_fill",
-    "x_density_percent",
-]
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "ENGINES": ".config",
+    "LZWConfig": ".config",
+    "POLICIES": ".config",
+    "ConfigError": "..reliability.errors",
+    "DecodeError": "..reliability.errors",
+    "LZWDecodeError": ".decoder",
+    "decode": ".decoder",
+    "decode_codes": ".decoder",
+    "derive_final_snapshot": ".decoder",
+    "iter_decode": ".decoder",
+    "DictionarySnapshot": ".dictionary",
+    "LZWDictionary": ".dictionary",
+    "STATIC_FILLS": ".dontcare",
+    "ChildSelector": ".dontcare",
+    "static_fill": ".dontcare",
+    "CompressedStream": ".encoder",
+    "LZWEncoder": ".encoder",
+    "EncodeStats": ".stream",
+    "StreamDecoder": ".stream",
+    "StreamEncoder": ".stream",
+    "chars_to_vector": ".stream",
+    "PackedCandidateIndex": ".fastpath",
+    "resolve_engine": ".fastpath",
+    "compression_percent": ".metrics",
+    "compression_ratio": ".metrics",
+    "geometric_mean": ".metrics",
+    "x_density_percent": ".metrics",
+    "MultiChainResult": ".multichain",
+    "chain_streams": ".multichain",
+    "compress_interleaved": ".multichain",
+    "compress_per_chain": ".multichain",
+    "deinterleave_stream": ".multichain",
+    "interleave_stream": ".multichain",
+    "partition_chains": ".multichain",
+    "CompressionResult": ".pipeline",
+    "compress": ".pipeline",
+    "compress_batch": ".pipeline",
+    "decompress": ".pipeline",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from ..bitstream import TernaryVector
-from ..observability import Recorder
+from ..bitstream.ternary import TernaryVector
+from ..observability.recorder import Recorder
 from ..reliability.errors import DecodeError
 from .config import LZWConfig
 from .dictionary import DictionarySnapshot

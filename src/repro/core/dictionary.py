@@ -26,11 +26,28 @@ import zlib
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..bitstream import TernaryVector
+from ..bitstream.ternary import TernaryVector
 from ..reliability.errors import SnapshotError
 from .config import LZWConfig
 
-__all__ = ["DictionarySnapshot", "LZWDictionary", "SNAPSHOT_MAGIC", "SNAPSHOT_VERSION"]
+__all__ = [
+    "DictionarySnapshot",
+    "LZWDictionary",
+    "SEED_BLOB",
+    "SEED_CHAIN",
+    "SEED_COLD",
+    "SEED_MODE_NAMES",
+    "SNAPSHOT_MAGIC",
+    "SNAPSHOT_VERSION",
+]
+
+#: How a segment's dictionary starts: empty, from a snapshot blob, or
+#: chained from its predecessor's final state.  The v4 container stores
+#: these values; the batch worker stamps them on each shard it encodes.
+SEED_COLD = 0
+SEED_BLOB = 1
+SEED_CHAIN = 2
+SEED_MODE_NAMES = {SEED_COLD: "cold", SEED_BLOB: "blob", SEED_CHAIN: "chain"}
 
 #: Serialized snapshot framing (see :meth:`DictionarySnapshot.to_bytes`).
 SNAPSHOT_MAGIC = b"LZWS"

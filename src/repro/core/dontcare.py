@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..bitstream import TernaryVector
+from ..bitstream.ternary import TernaryVector
 from .config import LZWConfig
 from .dictionary import LZWDictionary
 

@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import List, Optional, Tuple
 
-from ..bitstream import BitReader, BitWriter, TernaryVector
-from ..observability import Recorder
+from ..bitstream.bitio import BitReader, BitWriter
+from ..bitstream.ternary import TernaryVector
+from ..observability.recorder import Recorder
 from .config import LZWConfig
 from .dictionary import DictionarySnapshot
 from .metrics import compression_percent, compression_ratio

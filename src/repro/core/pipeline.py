@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..bitstream import TernaryVector
-from ..observability import NULL_RECORDER, Recorder
+from ..bitstream.ternary import TernaryVector
+from ..observability.recorder import NULL_RECORDER, Recorder
 from .config import LZWConfig
 from .decoder import decode
 from .dictionary import DictionarySnapshot

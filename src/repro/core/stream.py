@@ -48,9 +48,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from ..bitstream import TernaryVector
-from ..observability import NULL_RECORDER, Recorder
-from ..observability import schema as ev
+from ..bitstream.ternary import TernaryVector
+from ..observability import events as ev
+from ..observability.recorder import NULL_RECORDER, Recorder
 from ..reliability.errors import DecodeError, SnapshotError
 from .config import LZWConfig
 from .dictionary import DictionarySnapshot, LZWDictionary

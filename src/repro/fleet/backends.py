@@ -32,7 +32,7 @@ from collections import deque
 from typing import Any, Deque, Dict, Optional, Sequence, Tuple
 
 from ..observability import NULL_RECORDER, Recorder
-from ..observability import schema as ev
+from ..observability import events as ev
 from ..reliability.errors import ProtocolError
 from ..service.breaker import CircuitBreaker
 from ..service.protocol import ServiceClient

@@ -38,7 +38,7 @@ from typing import Any, Dict, Optional, Tuple, Union
 
 from ..container import load_bytes
 from ..observability import NULL_RECORDER, Recorder
-from ..observability import schema as ev
+from ..observability import events as ev
 from ..reliability.atomic import atomic_write_bytes
 from ..reliability.errors import ContainerError, ReproError
 

@@ -35,7 +35,7 @@ from typing import List, Optional, Sequence
 
 from ..container import dump_bytes
 from ..core import LZWConfig, compress
-from ..observability import schema as ev
+from ..observability import events as ev
 from ..reliability.campaign import CampaignResult, Trial, TrialOutcome, classify_reply
 from ..reliability.chaos import FLEET_FAULTS, FleetFaultPlan
 from ..reliability.errors import ProtocolError

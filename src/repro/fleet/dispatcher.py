@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..observability import Recorder
-from ..observability import schema as ev
+from ..observability import events as ev
 from ..reliability.errors import ConfigError, OverloadError
 from ..service.protocol import error_from_reply
 from ..service.server import CompressionServer, ServiceConfig, _Job

@@ -1,34 +1,27 @@
 """Zero-dependency tracing/metrics for the LZW pipeline.
 
-See :mod:`repro.observability.recorder` for the sink implementations and
-:mod:`repro.observability.schema` for the versioned metrics-JSON shape
-and the event-name vocabulary.
+See :mod:`repro.observability.recorder` for the sink implementations,
+:mod:`repro.observability.events` for the event-name vocabulary and
+:mod:`repro.observability.schema` for the versioned metrics-JSON shape.
+Names load on first use (PEP 562): the recorders do not pull in the
+JSON writer and its atomic-write helpers.
 """
 
-from .recorder import (
-    NULL_RECORDER,
-    CompositeRecorder,
-    CounterRecorder,
-    NullRecorder,
-    Recorder,
-    SpanRecorder,
-)
-from .schema import (
-    SCHEMA_VERSION,
-    metrics_snapshot,
-    strip_timing,
-    write_metrics_json,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "NULL_RECORDER",
-    "CompositeRecorder",
-    "CounterRecorder",
-    "NullRecorder",
-    "Recorder",
-    "SCHEMA_VERSION",
-    "SpanRecorder",
-    "metrics_snapshot",
-    "strip_timing",
-    "write_metrics_json",
-]
+_EXPORTS = {
+    "NULL_RECORDER": ".recorder",
+    "CompositeRecorder": ".recorder",
+    "CounterRecorder": ".recorder",
+    "NullRecorder": ".recorder",
+    "Recorder": ".recorder",
+    "SpanRecorder": ".recorder",
+    "SCHEMA_VERSION": ".schema",
+    "metrics_snapshot": ".schema",
+    "strip_timing": ".schema",
+    "write_metrics_json": ".schema",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -16,27 +16,31 @@ Public surface:
 * :class:`SeedPlan` / :func:`train_preamble` — warm-dictionary seeding
   strategies (``cold`` / ``preamble`` / ``wave``) behind
   ``repro batch --seed-mode``.
+
+A pool worker runs :mod:`repro.parallel.worker` alone.  The names here
+load on first use (PEP 562), so a worker never imports the engine or
+the supervisor behind them.
 """
 
-from .engine import BatchItemResult, ShardResult, compress_batch
-from .journal import ShardJournal, batch_fingerprint
-from .seeding import COLD_PLAN, SEED_MODES, SeedPlan, train_preamble
-from .shard import ShardPlan, plan_shards
-from .supervisor import ON_FAILURE_POLICIES, RetryPolicy, run_supervised
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BatchItemResult",
-    "COLD_PLAN",
-    "ON_FAILURE_POLICIES",
-    "RetryPolicy",
-    "SEED_MODES",
-    "SeedPlan",
-    "ShardJournal",
-    "ShardPlan",
-    "ShardResult",
-    "batch_fingerprint",
-    "compress_batch",
-    "plan_shards",
-    "run_supervised",
-    "train_preamble",
-]
+_EXPORTS = {
+    "BatchItemResult": ".engine",
+    "compress_batch": ".engine",
+    "ShardJournal": ".journal",
+    "batch_fingerprint": ".journal",
+    "COLD_PLAN": ".seeding",
+    "SEED_MODES": ".seeding",
+    "SeedPlan": ".seeding",
+    "train_preamble": ".seeding",
+    "ShardPlan": ".shard",
+    "plan_shards": ".shard",
+    "ON_FAILURE_POLICIES": ".supervisor",
+    "RetryPolicy": ".supervisor",
+    "run_supervised": ".supervisor",
+    "ShardResult": ".worker",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

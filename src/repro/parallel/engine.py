@@ -27,6 +27,19 @@ every worker from a clean interpreter, makes the picklability of jobs
 an enforced invariant, and is also what lets the supervisor respawn a
 crashed pool identically.
 
+A clean interpreter has to import what it runs, so the code a worker
+runs lives apart from this module: :mod:`repro.parallel.worker` holds
+the shard encoder and the timeout wrapper the supervisor submits, and
+imports only :mod:`repro.bitstream` (ternary vectors and bit I/O), the
+:mod:`repro.core` encode and decode modules, the recorders and event
+names, and the error taxonomy.  Package exports load on first use, so
+unpickling that callable loads neither this module, the supervisor,
+the journal, the container writer nor the chaos injectors (those only
+when a job carries a chaos plan).  Spawn also re-runs the caller's ``__main__``
+in every worker, which is why ``repro.cli`` keeps its top level to the
+standard library and the error taxonomy.  DESIGN.md §8 ("Slim
+workers") records the start-up cost before and after.
+
 With ``workers <= 1`` the engine runs inline in the calling process
 (no pool, no pickling) with the same retry/timeout/degradation
 semantics; the inline path is also the deterministic reference the
@@ -37,77 +50,32 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..bitstream import TernaryVector
-from ..container import SEED_BLOB, SEED_CHAIN, SEED_COLD, SegmentSeed, dump_segments
+from ..bitstream.ternary import TernaryVector
+from ..container import SegmentSeed, dump_segments
 from ..core.config import LZWConfig
-from ..core.decoder import decode, derive_final_snapshot
-from ..core.dictionary import DictionarySnapshot
-from ..core.encoder import CompressedStream, EncodeStats, LZWEncoder
-from ..observability import (
+from ..core.decoder import derive_final_snapshot
+from ..core.dictionary import SEED_BLOB, SEED_CHAIN, SEED_COLD, DictionarySnapshot
+from ..observability import events as ev
+from ..observability.recorder import (
     NULL_RECORDER,
     CompositeRecorder,
     CounterRecorder,
     Recorder,
     SpanRecorder,
 )
-from ..observability import schema as ev
-from ..reliability.chaos import ChaosPlan
 from ..reliability.errors import ConfigError, ShardError, SnapshotError
 from .journal import ShardJournal, batch_fingerprint
 from .seeding import COLD_PLAN, SeedPlan, train_preamble
 from .shard import ShardPlan, plan_shards
 from .supervisor import RetryPolicy, Supervisor, check_supervision
+from .worker import ShardResult, _encode_shard, _Job
+
+if TYPE_CHECKING:
+    from ..reliability.chaos import ChaosPlan
 
 __all__ = ["ShardResult", "BatchItemResult", "compress_batch"]
-
-#: One shard job: (workload index, shard index, shard stream, config,
-#: whether the worker should record a metrics snapshot, the chaos plan
-#: (None outside fault drills), the 0-based attempt number, the seed
-#: snapshot and link code (both None for a cold shard), and whether the
-#: worker should ship its final dictionary state back (wave mode).
-_Job = Tuple[
-    int,
-    int,
-    TernaryVector,
-    LZWConfig,
-    bool,
-    Optional[ChaosPlan],
-    int,
-    Optional[DictionarySnapshot],
-    Optional[int],
-    bool,
-]
-
-
-@dataclass(frozen=True)
-class ShardResult:
-    """One encoded shard: codes, the implied X assignment and stats.
-
-    ``metrics`` is the worker-local recorder snapshot (counters,
-    histograms and encode/assign spans) when the batch ran with a
-    recorder attached, else ``None``.  Snapshots travel with the result
-    precisely because worker processes cannot share the caller's
-    recorder object.
-
-    ``seed_mode``/``seed``/``link`` echo the seeding state the shard
-    was encoded under (see :mod:`repro.parallel.seeding`), and
-    ``final_state`` carries the encoder's final dictionary snapshot in
-    serialized form when the shard feeds a pipelined-wave successor.
-    The final state is an optimisation, never an authority: a missing
-    or unreadable snapshot is re-derived from the shard's codes.
-    """
-
-    index: int
-    compressed: CompressedStream
-    assigned_stream: TernaryVector
-    stats: EncodeStats
-    metrics: Optional[dict] = None
-    seed_mode: int = SEED_COLD
-    seed: Optional[DictionarySnapshot] = None
-    link: Optional[int] = None
-    final_state: Optional[bytes] = None
 
 
 @dataclass(frozen=True)
@@ -174,61 +142,6 @@ class BatchItemResult:
     def verify(self, original: TernaryVector) -> bool:
         """True iff the decoded stream covers every specified bit."""
         return self.ok and self.assigned_stream.covers(original)
-
-
-def _encode_shard(job: _Job) -> ShardResult:
-    """Pool worker: encode one shard with a fresh dictionary.
-
-    Module-level (picklable by reference) and pure — the only state is
-    the job tuple, so spawn and inline execution (and any retry of the
-    same job) agree exactly.  The chaos plan, when present, is the
-    injectable pre-encode hook the fault drills use: it may raise, kill
-    or hang the worker, or corrupt the input stream before encoding.
-    When recording, the shard gets its own counter+span sinks and ships
-    the snapshot back with the result for deterministic merging.
-    """
-    (
-        item_index,
-        shard_index,
-        stream,
-        config,
-        record,
-        chaos,
-        attempt,
-        seed,
-        link,
-        want_final,
-    ) = job
-    if chaos is not None:
-        stream = chaos.apply(item_index, shard_index, attempt, stream)
-    rec: Recorder = NULL_RECORDER
-    if record:
-        rec = CompositeRecorder([CounterRecorder(), SpanRecorder()])
-    encoder = LZWEncoder(config, recorder=rec, seed=seed, link=link)
-    with rec.span("encode"):
-        compressed = encoder.encode(stream)
-    with rec.span("assign"):
-        assigned = decode(compressed, recorder=rec, seed=seed, link=link)
-    if link is not None:
-        seed_mode = SEED_CHAIN
-    elif seed is not None:
-        seed_mode = SEED_BLOB
-    else:
-        seed_mode = SEED_COLD
-    final_state = None
-    if want_final:
-        final_state = encoder.dictionary.snapshot().to_bytes()
-    return ShardResult(
-        index=shard_index,
-        compressed=compressed,
-        assigned_stream=assigned,
-        stats=encoder.stats(),
-        metrics=rec.snapshot() if record else None,
-        seed_mode=seed_mode,
-        seed=seed,
-        link=link,
-        final_state=final_state,
-    )
 
 
 def _broadcast(value, count: int, name: str) -> List:

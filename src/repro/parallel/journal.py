@@ -53,6 +53,7 @@ from ..reliability.errors import (
 )
 from .seeding import COLD_PLAN, SeedPlan
 from .shard import ShardPlan
+from .worker import ShardResult
 
 __all__ = ["ShardJournal", "batch_fingerprint"]
 
@@ -101,9 +102,9 @@ def batch_fingerprint(
 class ShardJournal:
     """Append-only shard-completion log bound to one batch identity.
 
-    Use :meth:`open`; entries live in :attr:`completed` as the engine's
-    ``ShardResult`` objects (imported lazily to avoid an import cycle
-    with the engine).
+    Use :meth:`open`; entries live in :attr:`completed` as
+    :class:`~repro.parallel.worker.ShardResult` objects, the same type
+    a pool worker returns.
     """
 
     def __init__(self, path: Path, fingerprint: str) -> None:
@@ -198,8 +199,6 @@ class ShardJournal:
             self.completed[key] = result
 
     def _parse_entry(self, line: str):
-        from .engine import ShardResult  # deferred: engine imports us
-
         try:
             record = json.loads(line)
             if record.get("kind") != "shard":

@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import math
 import random
-import signal
 import time
 from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -66,9 +65,10 @@ from dataclasses import dataclass
 from multiprocessing import get_context
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..observability import NULL_RECORDER, Recorder
-from ..observability import schema as ev
+from ..observability import events as ev
+from ..observability.recorder import NULL_RECORDER, Recorder
 from ..reliability.errors import ConfigError, ShardError
+from .worker import _call_with_timeout, _WorkerTimeout
 
 __all__ = [
     "RetryPolicy",
@@ -129,47 +129,6 @@ class RetryPolicy:
         )
         rng = random.Random(f"retry:{self.seed}:{key[0]}.{key[1]}:{attempt}")
         return raw * (1.0 + self.jitter * rng.random())
-
-
-class _WorkerTimeout(Exception):
-    """Raised inside a worker when its SIGALRM budget expires."""
-
-
-def _call_with_timeout(fn: Callable[[Any], Any], args: Any, timeout: Optional[float]):
-    """Run ``fn(args)``, bounded by a ``SIGALRM``-based timeout.
-
-    Module-level so the pool can pickle it by reference.  Contexts
-    without a usable alarm — Windows (no ``SIGALRM``), non-main threads
-    (``signal.signal`` raises ``ValueError``), restricted environments
-    where installing the handler or arming the timer fails — degrade
-    cleanly to an unbounded call here; the parent-side wave watchdog is
-    the backstop that still catches the hang.  Nothing in this function
-    may raise at startup for a platform limitation: a worker that can't
-    arm an alarm must still run its shard.
-    """
-    if not timeout or not hasattr(signal, "SIGALRM"):
-        return fn(args)
-
-    def _on_alarm(signum, frame):
-        raise _WorkerTimeout(f"shard attempt exceeded {timeout}s")
-
-    try:
-        previous = signal.signal(signal.SIGALRM, _on_alarm)
-    except (ValueError, OSError, RuntimeError):
-        # Not the main thread, or signals are unavailable entirely.
-        return fn(args)
-    try:
-        signal.setitimer(signal.ITIMER_REAL, timeout)
-    except (ValueError, OSError, AttributeError):
-        # Handler installed but the timer can't be armed: restore and
-        # fall back to the watchdog rather than failing the shard.
-        signal.signal(signal.SIGALRM, previous)
-        return fn(args)
-    try:
-        return fn(args)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def _terminate_pool(pool: ProcessPoolExecutor) -> None:

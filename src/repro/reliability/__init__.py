@@ -45,6 +45,42 @@ from .errors import (
     TestFileError,
 )
 
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "atomic_write_bytes": ".atomic",
+    "atomic_write_text": ".atomic",
+    "DurableAppendFile": ".atomic",
+    "FSBackend": ".atomic",
+    "current_backend": ".atomic",
+    "use_backend": ".atomic",
+    "CrashFS": ".crashsim",
+    "CrashWriterSpec": ".crashsim",
+    "SimulatedCrash": ".crashsim",
+    "run_crash_campaign": ".crashsim",
+    "FsckReport": ".fsck",
+    "fsck_paths": ".fsck",
+    "INJECTORS": ".inject",
+    "MULTI_INJECTORS": ".inject",
+    "SEEDED_INJECTORS": ".inject",
+    "STREAM_INJECTORS": ".inject",
+    "inject": ".inject",
+    "ChaosPlan": ".chaos",
+    "PROCESS_FAULTS": ".chaos",
+    "CampaignResult": ".campaign",
+    "Trial": ".campaign",
+    "TrialOutcome": ".campaign",
+    "run_campaign": ".campaign",
+    "run_process_campaign": ".campaign",
+    "run_trial": ".campaign",
+    "Check": ".verify",
+    "VerifyReport": ".verify",
+    "verify_container": ".verify",
+    "PartialDecodeResult": ".salvage",
+    "decode_partial": ".salvage",
+    "salvage_container": ".salvage",
+}
+
 __all__ = [
     "ConfigError",
     "ContainerError",
@@ -57,82 +93,7 @@ __all__ = [
     "SnapshotError",
     "StreamError",
     "TestFileError",
-    "atomic_write_bytes",
-    "atomic_write_text",
-    # lazily loaded:
-    "CampaignResult",
-    "ChaosPlan",
-    "Check",
-    "CrashFS",
-    "CrashWriterSpec",
-    "DurableAppendFile",
-    "FSBackend",
-    "FsckReport",
-    "SimulatedCrash",
-    "INJECTORS",
-    "MULTI_INJECTORS",
-    "PROCESS_FAULTS",
-    "SEEDED_INJECTORS",
-    "STREAM_INJECTORS",
-    "PartialDecodeResult",
-    "Trial",
-    "TrialOutcome",
-    "VerifyReport",
-    "current_backend",
-    "decode_partial",
-    "fsck_paths",
-    "inject",
-    "run_campaign",
-    "run_crash_campaign",
-    "run_process_campaign",
-    "run_trial",
-    "salvage_container",
-    "use_backend",
-    "verify_container",
+    *_EXPORTS,
 ]
 
-_LAZY = {
-    "atomic_write_bytes": "atomic",
-    "atomic_write_text": "atomic",
-    "DurableAppendFile": "atomic",
-    "FSBackend": "atomic",
-    "current_backend": "atomic",
-    "use_backend": "atomic",
-    "CrashFS": "crashsim",
-    "CrashWriterSpec": "crashsim",
-    "SimulatedCrash": "crashsim",
-    "run_crash_campaign": "crashsim",
-    "FsckReport": "fsck",
-    "fsck_paths": "fsck",
-    "INJECTORS": "inject",
-    "MULTI_INJECTORS": "inject",
-    "SEEDED_INJECTORS": "inject",
-    "STREAM_INJECTORS": "inject",
-    "inject": "inject",
-    "ChaosPlan": "chaos",
-    "PROCESS_FAULTS": "chaos",
-    "CampaignResult": "campaign",
-    "Trial": "campaign",
-    "TrialOutcome": "campaign",
-    "run_campaign": "campaign",
-    "run_process_campaign": "campaign",
-    "run_trial": "campaign",
-    "Check": "verify",
-    "PartialDecodeResult": "salvage",
-    "decode_partial": "salvage",
-    "salvage_container": "salvage",
-    "VerifyReport": "verify",
-    "verify_container": "verify",
-}
-
-
-def __getattr__(name):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    module = importlib.import_module(f".{module_name}", __name__)
-    value = getattr(module, name)
-    globals()[name] = value
-    return value
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

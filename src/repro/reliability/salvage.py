@@ -221,7 +221,7 @@ def _salvage_stream(data: bytes, recorder=None) -> PartialDecodeResult:
     the 19-byte stream header itself is unusable.
     """
     from ..observability import NULL_RECORDER
-    from ..observability import schema as ev
+    from ..observability import events as ev
     from ..streamio import _FrameWalk, scan_stream
 
     rec = recorder if recorder is not None else NULL_RECORDER

@@ -49,7 +49,7 @@ from ..container import (
     _walk,
 )
 from ..observability import NULL_RECORDER, Recorder, metrics_snapshot
-from ..observability import schema as ev
+from ..observability import events as ev
 from .errors import ContainerError, ReproError, SnapshotError
 
 __all__ = ["Check", "VerifyReport", "verify_container"]

@@ -57,7 +57,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from ..container import SEED_BLOB, SegmentSeed, decode_container, dump_bytes, dump_segments
 from ..core import DictionarySnapshot, LZWConfig, compress
 from ..observability import CounterRecorder, Recorder, metrics_snapshot
-from ..observability import schema as ev
+from ..observability import events as ev
 from ..parallel.supervisor import RetryPolicy, run_supervised
 from ..reliability.errors import (
     ConfigError,

@@ -100,7 +100,7 @@ from .bitstream import TernaryVector, pack_codes, unpack_codes
 from .core import DictionarySnapshot, LZWConfig
 from .core.stream import StreamDecoder, StreamEncoder, chars_to_vector
 from .observability import NULL_RECORDER, Recorder
-from .observability import schema as ev
+from .observability import events as ev
 from .reliability.errors import ConfigError, ContainerError, DecodeError
 
 __all__ = [

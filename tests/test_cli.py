@@ -68,6 +68,11 @@ class TestAtpg:
     def test_missing_source(self, capsys):
         assert main(["atpg"]) == 2
 
+    def test_unknown_builtin_is_a_usage_error(self, capsys):
+        assert main(["atpg", "--builtin", "nope"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown builtin circuit 'nope'" in err and "c17" in err
+
     def test_bench_file(self, tmp_path, capsys):
         from repro.circuit import load_builtin, write_bench
 

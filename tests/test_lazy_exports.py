@@ -1,0 +1,78 @@
+"""The packages' PEP 562 exports are complete and resolve to their
+definitions.
+
+Each check runs in a fresh interpreter, so the first read of every name
+goes through the package's ``__getattr__`` rather than finding an
+attribute an earlier test's import already bound.
+"""
+
+from __future__ import annotations
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+PACKAGES = (
+    "repro",
+    "repro.bitstream",
+    "repro.core",
+    "repro.observability",
+    "repro.parallel",
+    "repro.reliability",
+)
+
+_RESOLVE = """
+import importlib, json, sys
+name = sys.argv[1]
+pkg = importlib.import_module(name)
+problems = []
+for export in pkg.__all__:
+    value = getattr(pkg, export)
+    target = pkg._EXPORTS.get(export)
+    if target is not None:
+        defined = getattr(importlib.import_module(target, name), export)
+        if defined is not value:
+            problems.append(export + " is not the object " + target + " defines")
+    if export not in dir(pkg):
+        problems.append(export + " missing from dir()")
+print(json.dumps(problems))
+"""
+
+
+def _python(*args: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env,
+        check=True, timeout=120,
+    )
+    return done.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_every_export_resolves_to_its_definition(package):
+    assert json.loads(_python("-c", _RESOLVE, package)) == []
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_unknown_name_raises_attribute_error_naming_the_module(package):
+    pkg = importlib.import_module(package)
+    with pytest.raises(AttributeError, match=f"module {package!r} has no attribute"):
+        getattr(pkg, "no_such_export")
+
+
+def test_star_import_binds_every_public_name():
+    code = (
+        "from repro import *\n"
+        "import json, repro\n"
+        "print(json.dumps([n for n in repro.__all__ if n not in globals()]))"
+    )
+    assert json.loads(_python("-c", code)) == []
+
