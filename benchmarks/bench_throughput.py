@@ -1,4 +1,4 @@
-"""Throughput benchmarks — core engines and the sharded batch pipeline.
+"""Throughput benchmarks — the encoder and the sharded batch pipeline.
 
 Two personalities:
 
@@ -22,6 +22,11 @@ attached, so the report breaks the wall clock down by pipeline stage
 (``plan``/``encode``/``reassemble`` in the parent, encode/assign summed
 across worker shards) and carries the deterministic counter snapshot of
 the reference run alongside the timings.
+
+The serial pass also runs once on the test oracle, selected with
+:func:`repro.core.dontcare.reference_engine`, so the report carries the
+same-run speedup of the packed matcher over the oracle (``--check``
+gates it with ``--min-speedup``) and confirms both emit the same codes.
 """
 
 import argparse
@@ -30,10 +35,11 @@ import os
 import platform
 import sys
 import time
-from dataclasses import replace
+from contextlib import nullcontext
 from pathlib import Path
 
 from repro.core import LZWConfig, LZWEncoder, compress, compress_batch, decode
+from repro.core.dontcare import reference_engine
 from repro.observability import (
     SCHEMA_VERSION,
     CompositeRecorder,
@@ -79,19 +85,21 @@ def _peak_rss_bytes() -> int:
     return peak
 
 
-def run_serial(streams, engine="auto"):
+def run_serial(streams, engine="fast"):
     """Unsharded baseline: one plain ``compress`` per workload.
 
-    ``engine`` picks the encoder implementation (``auto`` resolves to
-    the fast path; ``reference`` is the conformance oracle).  Returns
-    the total seconds, the per-workload results and the stage breakdown
-    the attached :class:`SpanRecorder` measured (``encode`` is the LZW
-    loop, ``assign`` the decode that materialises the X-filled stream).
+    ``engine`` picks the matcher: ``fast`` is the shipping packed
+    matcher, ``reference`` runs inside ``reference_engine()`` on the
+    test oracle.  Returns the total seconds, the per-workload results
+    and the stage breakdown the attached :class:`SpanRecorder` measured
+    (``encode`` is the LZW loop, ``assign`` the step that materialises
+    the X-filled stream).
     """
-    config = replace(CONFIG, engine=engine)
+    swap = reference_engine() if engine == "reference" else nullcontext()
     spans = SpanRecorder()
     start = time.perf_counter()
-    results = [compress(stream, config, recorder=spans) for stream in streams]
+    with swap:
+        results = [compress(stream, CONFIG, recorder=spans) for stream in streams]
     seconds = time.perf_counter() - start
     stages = {
         "encode": round(spans.seconds("encode"), 4),
@@ -154,9 +162,9 @@ def run_experiment(scale: float, workers=WORKER_COUNTS) -> dict:
     pattern_bits = [testset.width for _, testset in corpus]
     total_bits = sum(len(stream) for stream in streams)
 
-    # Serial passes, both engines: ``serial`` is the shipping fast path
-    # (what ``auto`` resolves to); the reference oracle runs in the same
-    # process so the engine speedup is a same-machine, same-load ratio.
+    # Serial passes, both engines: ``serial`` is the shipping packed
+    # matcher; the reference oracle runs in the same process so the
+    # engine speedup is a same-machine, same-load ratio.
     serial_seconds, serial_results, serial_stages = run_serial(streams, "fast")
     serial_bits = sum(r.compressed_bits for r in serial_results)
     rss_after_serial = _peak_rss_bytes()

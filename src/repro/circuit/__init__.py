@@ -1,45 +1,33 @@
 """Gate-level circuit substrate: netlists, `.bench` I/O, simulation,
-faults, scan chains and a synthetic circuit generator."""
+faults, scan chains and a synthetic circuit generator.  Names load on
+first use (PEP 562), so reading a ``.test`` file loads the scan and
+netlist modules only."""
 
-from .bench import (
-    BUILTIN_CIRCUITS,
-    load_bench,
-    load_builtin,
-    parse_bench,
-    write_bench,
-)
-from .faults import Fault, collapse_faults, full_fault_list
-from .netlist import (
-    COMBINATIONAL_GATES,
-    Circuit,
-    CircuitError,
-    CombinationalView,
-    Gate,
-    GateType,
-)
-from .scan import ScanChain, TestSet
-from .simulate import evaluate, outputs_of, simulate_cube
-from .synth import random_circuit
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BUILTIN_CIRCUITS",
-    "COMBINATIONAL_GATES",
-    "Circuit",
-    "CircuitError",
-    "CombinationalView",
-    "Fault",
-    "Gate",
-    "GateType",
-    "ScanChain",
-    "TestSet",
-    "collapse_faults",
-    "evaluate",
-    "full_fault_list",
-    "load_bench",
-    "load_builtin",
-    "outputs_of",
-    "parse_bench",
-    "random_circuit",
-    "simulate_cube",
-    "write_bench",
-]
+_EXPORTS = {
+    "BUILTIN_CIRCUITS": ".bench",
+    "load_bench": ".bench",
+    "load_builtin": ".bench",
+    "parse_bench": ".bench",
+    "write_bench": ".bench",
+    "Fault": ".faults",
+    "collapse_faults": ".faults",
+    "full_fault_list": ".faults",
+    "COMBINATIONAL_GATES": ".netlist",
+    "Circuit": ".netlist",
+    "CircuitError": ".netlist",
+    "CombinationalView": ".netlist",
+    "Gate": ".netlist",
+    "GateType": ".netlist",
+    "ScanChain": ".scan",
+    "TestSet": ".scan",
+    "evaluate": ".simulate",
+    "outputs_of": ".simulate",
+    "simulate_cube": ".simulate",
+    "random_circuit": ".synth",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -88,13 +88,6 @@ def _add_lzw_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--lookahead", type=int, default=4, help="sliding-window depth W"
     )
-    parser.add_argument(
-        "--engine",
-        default="auto",
-        choices=("auto", "reference", "fast"),
-        help="encoder implementation; both are byte-identical "
-        "(auto resolves to fast)",
-    )
 
 
 def _metrics_recorder(args: argparse.Namespace) -> Optional[CompositeRecorder]:
@@ -168,7 +161,6 @@ def _config_from(args: argparse.Namespace) -> LZWConfig:
         entry_bits=args.entry_bits,
         policy=args.policy,
         lookahead=args.lookahead,
-        engine=getattr(args, "engine", "auto"),
     )
 
 

@@ -7,7 +7,6 @@ the package — the encoder, say — does not pull in the others.
 from .._lazy import lazy_exports
 
 _EXPORTS = {
-    "ENGINES": ".config",
     "LZWConfig": ".config",
     "POLICIES": ".config",
     "ConfigError": "..reliability.errors",
@@ -20,7 +19,6 @@ _EXPORTS = {
     "DictionarySnapshot": ".dictionary",
     "LZWDictionary": ".dictionary",
     "STATIC_FILLS": ".dontcare",
-    "ChildSelector": ".dontcare",
     "static_fill": ".dontcare",
     "CompressedStream": ".encoder",
     "LZWEncoder": ".encoder",
@@ -29,7 +27,6 @@ _EXPORTS = {
     "StreamEncoder": ".stream",
     "chars_to_vector": ".stream",
     "PackedCandidateIndex": ".fastpath",
-    "resolve_engine": ".fastpath",
     "compression_percent": ".metrics",
     "compression_ratio": ".metrics",
     "geometric_mean": ".metrics",

@@ -1,4 +1,4 @@
-"""LZW engine configuration (the paper's "configurator" block).
+"""LZW codec configuration (the paper's "configurator" block).
 
 The paper parameterises the scheme by:
 
@@ -20,13 +20,10 @@ from dataclasses import dataclass
 
 from ..reliability.errors import ConfigError
 
-__all__ = ["ConfigError", "ENGINES", "LZWConfig", "POLICIES"]
+__all__ = ["ConfigError", "LZWConfig", "POLICIES"]
 
 #: Recognised dynamic-assignment policies (see :mod:`repro.core.dontcare`).
 POLICIES = ("first", "popular", "lookahead")
-
-#: Recognised encoder engines (see :mod:`repro.core.fastpath`).
-ENGINES = ("auto", "reference", "fast")
 
 
 @dataclass(frozen=True)
@@ -58,15 +55,6 @@ class LZWConfig:
         be allocated, both sides instead flush back to the base codes —
         no clear code is transmitted because the trigger is a
         deterministic function of the shared allocation counter.
-    engine:
-        The encode loop's decision step, one-shot and streaming alike:
-        ``"fast"`` (bit-parallel word-packed matching,
-        :mod:`repro.core.fastpath`), ``"reference"`` (the original
-        per-candidate trie walk, kept as the conformance oracle) or
-        ``"auto"`` (the default; resolves to ``"fast"``).
-        Both engines are byte-identical, so the knob never changes the
-        output — only the speed at which it is produced.  Like the
-        policy knobs it is not stored in containers.
     """
 
     char_bits: int = 7
@@ -76,7 +64,6 @@ class LZWConfig:
     lookahead: int = 4
     lookahead_budget: int = 128
     reset_on_full: bool = False
-    engine: str = "auto"
 
     def __post_init__(self) -> None:
         if self.char_bits < 1:
@@ -119,12 +106,6 @@ class LZWConfig:
                 field="lookahead_budget",
                 value=self.lookahead_budget,
             )
-        if self.engine not in ENGINES:
-            raise ConfigError(
-                f"unknown engine {self.engine!r}; pick from {ENGINES}",
-                field="engine",
-                value=self.engine,
-            )
 
     @property
     def base_codes(self) -> int:
@@ -152,5 +133,4 @@ class LZWConfig:
             f"C_C={self.char_bits} N={self.dict_size} (C_E={self.code_bits}) "
             f"C_MDATA={self.entry_bits} policy={self.policy}"
             + (f" W={self.lookahead}" if self.policy == "lookahead" else "")
-            + (f" engine={self.engine}" if self.engine != "auto" else "")
         )

@@ -70,9 +70,9 @@ class DictionarySnapshot:
     :meth:`LZWDictionary.add` reproduces *every* derived structure —
     strings, subtree weights, children insertion order and the
     ``_active_bases`` insertion history — so a restored dictionary
-    continues **byte-identically** under both encoder engines (children
-    iteration order and active-base scan order are part of the output
-    contract).
+    continues **byte-identically** on the packed matcher and the test
+    oracle alike (children iteration order and active-base scan order
+    are part of the output contract).
 
     The snapshot also names the configuration identity it was taken
     under (``char_bits``/``dict_size``/``entry_bits``); seeding a

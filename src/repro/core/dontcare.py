@@ -16,15 +16,17 @@ module provides both families:
   continuation.
 
 The encode driver (:class:`repro.core.stream.StreamEncoder`) asks a
-:class:`Matcher` for each decision; :func:`reference_matcher` wraps
-:class:`ChildSelector` as the conformance oracle, and
-:func:`repro.core.fastpath.packed_matcher` is the byte-identical fast
-step.
+:class:`Matcher` for each decision, built by
+:func:`repro.core.fastpath.packed_matcher`.  :class:`ChildSelector`
+decides the same way one candidate at a time; it is the test oracle the
+packed matcher is locked byte-identical to, and :func:`reference_engine`
+is the one way to make the encoder use it.
 """
 
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..bitstream.ternary import TernaryVector
@@ -35,6 +37,7 @@ __all__ = [
     "STATIC_FILLS",
     "ChildSelector",
     "Matcher",
+    "reference_engine",
     "reference_matcher",
     "static_fill",
 ]
@@ -236,8 +239,8 @@ def reference_matcher(
     values: List[int],
     cares: List[int],
 ) -> Matcher:
-    """The :class:`Matcher` of ``engine="reference"``: a plain
-    :class:`ChildSelector` over the retained characters as vectors."""
+    """The oracle :class:`Matcher`: a plain :class:`ChildSelector` over
+    the retained characters as vectors."""
     selector = ChildSelector(dictionary, config)
     char_bits = config.char_bits
     chars: List[TernaryVector] = []
@@ -262,3 +265,23 @@ def reference_matcher(
         return None
 
     return Matcher(base, child, extend, trim, ignore, ignore, dict)
+
+
+@contextmanager
+def reference_engine():
+    """Encode with :func:`reference_matcher` inside the ``with`` block.
+
+    Every encoder this process builds in the block — ``compress``, a
+    ``workers=1`` ``compress_batch``, a :class:`StreamEncoder` — takes
+    its decisions from the oracle; the packed matcher is restored on
+    exit.  Spawned batch workers are other processes and keep the
+    packed matcher.
+    """
+    from . import stream
+
+    previous = stream._new_matcher
+    stream._new_matcher = reference_matcher
+    try:
+        yield
+    finally:
+        stream._new_matcher = previous

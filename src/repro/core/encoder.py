@@ -128,7 +128,8 @@ class LZWEncoder:
     boundary of a pipelined wave (the previous shard's last emitted
     code), so encoding a stream suffix from the matching seed is
     byte-identical to the uninterrupted serial encode — the contract
-    ``tests/core/test_seeded_differential.py`` locks for both engines.
+    ``tests/core/test_seeded_differential.py`` locks for the packed
+    matcher and the oracle alike.
     """
 
     def __init__(
@@ -150,15 +151,7 @@ class LZWEncoder:
         self._strings: List[Tuple[int, ...]] = []
 
     def encode(self, stream: TernaryVector) -> CompressedStream:
-        """Compress a ternary scan stream into a :class:`CompressedStream`.
-
-        The decision step is picked by ``config.engine``: ``"fast"`` (and
-        ``"auto"``, the default) uses the packed matcher of
-        :mod:`repro.core.fastpath`; ``"reference"`` uses the original
-        per-candidate trie walk.  Both are byte-identical — the
-        differential conformance suite and the golden files lock the
-        equivalence — so the knob only trades implementation.
-        """
+        """Compress a ternary scan stream into a :class:`CompressedStream`."""
         if self._used:
             raise RuntimeError("LZWEncoder instances are single-use; make a new one")
         self._used = True

@@ -1,13 +1,13 @@
 """The packed matcher: word-packed two-mask ternary matching.
 
 The encode driver (:class:`repro.core.stream.StreamEncoder`) runs the
-paper's loop once for every engine and takes its decision step from a
-:class:`~repro.core.dontcare.Matcher`.  ``engine="reference"`` plugs in
-:class:`~repro.core.dontcare.ChildSelector`, which walks the dictionary
-trie one candidate child at a time; profiling shows >90% of encode time
-inside that walk (the ``compatible_children`` scans and the lookahead
-DFS around them).  :func:`packed_matcher`, the step of ``"fast"`` and
-``"auto"``, keeps the *decision procedure* — the paper's dynamic
+paper's loop and takes its decision step from a
+:class:`~repro.core.dontcare.Matcher`; :func:`packed_matcher` is that
+step.  The test oracle, :class:`~repro.core.dontcare.ChildSelector`,
+walks the dictionary trie one candidate child at a time; profiling
+shows >90% of its encode time inside that walk (the
+``compatible_children`` scans and the lookahead DFS around them).  The
+packed matcher keeps the *decision procedure* — the paper's dynamic
 don't-care assignment with its exact tie-break and budget semantics —
 and replaces the per-candidate Python work with word-wide integer
 operations over packed match arrays, the same idiom
@@ -53,7 +53,7 @@ Around that matching core, the matcher amortises everything it can:
 
 Equivalence contract
 --------------------
-``engine="fast"`` is **byte-identical** to ``engine="reference"``: same
+The packed matcher is **byte-identical** to the oracle: same
 code sequence, same dictionary evolution, same recorder counters and
 histograms, same cancellation checkpoints (the last two live in the
 shared driver).  That holds because the packed matcher is a faithful
@@ -76,24 +76,23 @@ interpreter of the same decision, not a different one:
 
 ``tests/core/test_engine_differential.py`` locks the contract with
 Hypothesis differential properties and exhaustive small-alphabet
-enumeration; ``tests/golden`` re-verifies every golden digest through
-this matcher.
+enumeration, selecting the oracle with
+:func:`~repro.core.dontcare.reference_engine`; ``tests/golden``
+re-verifies every golden digest through both.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from .config import ENGINES, LZWConfig
+from .config import LZWConfig
 from .dictionary import LZWDictionary
 from .dontcare import Matcher
 
 __all__ = [
     "CACHE_LIMIT",
-    "ENGINES",
     "PackedCandidateIndex",
     "packed_matcher",
-    "resolve_engine",
 ]
 
 #: Entries any one of the packed matcher's caches may hold before it is
@@ -115,16 +114,6 @@ else:  # pragma: no cover - exercised only on Python 3.9
 
     def _popcount(x: int) -> int:
         return bin(x).count("1")
-
-
-def resolve_engine(engine: str) -> str:
-    """Map the config knob to a concrete engine (``auto`` → ``fast``).
-
-    The fast path is byte-identical and strictly faster, so ``auto``
-    always selects it; ``reference`` survives as the conformance oracle
-    and as a hedge while a platform issue is being diagnosed.
-    """
-    return "fast" if engine == "auto" else engine
 
 
 def _mask_chunks(mask: int, n: int, width: int) -> List[int]:
@@ -330,7 +319,7 @@ def packed_matcher(
     values: List[int],
     cares: List[int],
 ) -> Matcher:
-    """The packed decision step — the :class:`Matcher` of ``engine="fast"``.
+    """The packed decision step — the encoder's :class:`Matcher`.
 
     ``values``/``cares`` are the driver's retained character masks (see
     :class:`~repro.core.dontcare.Matcher`).  The candidate index, the

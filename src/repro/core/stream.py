@@ -7,11 +7,11 @@ chunks; the one-shot API is a thin layer over them:
   are committed, ``finalize()`` to flush the tail.
   :meth:`repro.core.encoder.LZWEncoder.encode` is feed-all plus
   finalize, so streaming and one-shot output are the same code sequence
-  by construction.  The decision step comes from the
-  :class:`~repro.core.dontcare.Matcher` that ``config.engine`` picks:
-  :func:`~repro.core.dontcare.reference_matcher` (``ChildSelector``, the
-  conformance oracle) for ``"reference"``, the byte-identical
-  :func:`~repro.core.fastpath.packed_matcher` for ``"fast"``/``"auto"``.
+  by construction.  The decision step is a
+  :class:`~repro.core.dontcare.Matcher` built by the module-level
+  ``_new_matcher`` factory: :func:`~repro.core.fastpath.packed_matcher`.
+  Tests swap in the oracle with
+  :func:`~repro.core.dontcare.reference_engine`.
 * :class:`StreamDecoder` — push codes one at a time, collect character
   expansions.  :func:`repro.core.decoder.iter_decode` yields from it and
   :func:`~repro.core.decoder.derive_final_snapshot` pushes every code
@@ -54,10 +54,13 @@ from ..observability.recorder import NULL_RECORDER, Recorder
 from ..reliability.errors import DecodeError, SnapshotError
 from .config import LZWConfig
 from .dictionary import DictionarySnapshot, LZWDictionary
-from .dontcare import reference_matcher
-from .fastpath import _mask_chunks, _popcount, packed_matcher, resolve_engine
+from .fastpath import _mask_chunks, _popcount, packed_matcher
 
 __all__ = ["EncodeStats", "StreamDecoder", "StreamEncoder", "chars_to_vector"]
+
+#: Builds every encoder's :class:`~repro.core.dontcare.Matcher`.  Only
+#: :func:`~repro.core.dontcare.reference_engine` rebinds it.
+_new_matcher = packed_matcher
 
 
 @dataclass(frozen=True)
@@ -143,12 +146,9 @@ class StreamEncoder:
         # character at absolute index ``_trimmed``.
         self._values: List[int] = []
         self._cares: List[int] = []
-        make = (
-            packed_matcher
-            if resolve_engine(self.config.engine) == "fast"
-            else reference_matcher
+        self._matcher = _new_matcher(
+            self.dictionary, self.config, self._values, self._cares
         )
-        self._matcher = make(self.dictionary, self.config, self._values, self._cares)
         # How many characters from the decision index must be visible
         # before a decision is safe to commit pre-finalize (see module
         # docstring).  Non-lookahead policies read only chars[i].

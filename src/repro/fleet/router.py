@@ -49,15 +49,12 @@ def workload_fingerprint(
     seed, so a cold and a warm compress of identical cubes must never
     share a cache entry), and — for ``compress_stream`` — the same
     ``codes_per_frame``, which changes the v5 container's framing
-    bytes.  Two knobs are normalised *out* because they provably do not
-    change the reply: ``engine`` (both engines are byte-identical,
-    locked by the differential conformance suite) and the streaming
-    ``chunk_bytes`` (the incremental encoder emits identical codes for
-    any chunking of the same input, locked by the chunk-boundary
-    suite), so requests differing only there share routing and cache.
+    bytes.  The streaming ``chunk_bytes`` is left out because it
+    provably does not change the reply (the incremental encoder emits
+    identical codes for any chunking of the same input, locked by the
+    chunk-boundary suite), so requests differing only there share
+    routing and cache.
     """
-    if config and "engine" in config:
-        config = {k: v for k, v in config.items() if k != "engine"}
     canonical_config = json.dumps(
         config or {}, sort_keys=True, separators=(",", ":")
     ).encode("utf-8")

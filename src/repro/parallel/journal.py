@@ -78,9 +78,7 @@ def batch_fingerprint(
     was not written for.  The seed-plan identity is folded in
     unconditionally: journals from before seeding existed (whose
     fingerprints omit it) are invalidated rather than silently mixing
-    cold shards into a warm batch.  ``engine`` is deliberately *not*
-    part of the identity — both engines emit identical bytes, so a
-    fast-engine journal may resume a reference-engine batch.
+    cold shards into a warm batch.
     """
     seed_plan = seed_plan if seed_plan is not None else COLD_PLAN
     digest = hashlib.sha256()

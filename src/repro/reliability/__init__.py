@@ -64,7 +64,6 @@ _EXPORTS = {
     "MULTI_INJECTORS": ".inject",
     "SEEDED_INJECTORS": ".inject",
     "STREAM_INJECTORS": ".inject",
-    "inject": ".inject",
     "ChaosPlan": ".chaos",
     "PROCESS_FAULTS": ".chaos",
     "CampaignResult": ".campaign",

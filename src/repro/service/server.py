@@ -104,7 +104,6 @@ _CONFIG_KEYS = frozenset(
         "policy",
         "lookahead",
         "reset_on_full",
-        "engine",
     }
 )
 

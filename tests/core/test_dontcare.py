@@ -1,5 +1,8 @@
 """Unit tests for don't-care assignment: static fills and the selector."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from repro.bitstream import TernaryVector, to_characters
@@ -191,3 +194,34 @@ class TestTieBreakDeterminism:
             ChildSelector(d, config).choose_child(0, chars, 0) for _ in range(5)
         }
         assert len(picks) == 1
+
+
+ORACLE_NAMES = {"ChildSelector", "reference_matcher"}
+
+
+def _oracle_references(path):
+    """Names of the oracle that ``path`` imports, reads as an attribute or
+    lists as a string (a lazy-export table entry)."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            found += [alias.name for alias in node.names if alias.name in ORACLE_NAMES]
+        elif isinstance(node, ast.Attribute) and node.attr in ORACLE_NAMES:
+            found.append(node.attr)
+        elif isinstance(node, ast.Constant) and node.value in ORACLE_NAMES:
+            found.append(node.value)
+    return found
+
+
+def test_only_dontcare_reaches_the_oracle():
+    """The oracle is for tests: no shipped module but its own names it,
+    so ``reference_engine()`` stays the one way to encode with it."""
+    src = Path(__file__).resolve().parents[2] / "src" / "repro"
+    offenders = {
+        str(path.relative_to(src)): names
+        for path in sorted(src.rglob("*.py"))
+        if path != src / "core" / "dontcare.py"
+        for names in [_oracle_references(path)]
+        if names
+    }
+    assert offenders == {}

@@ -1,16 +1,17 @@
-"""Differential conformance: the fast engine vs the reference oracle.
+"""Differential conformance: the packed matcher vs the reference oracle.
 
 The paper's contract makes byte-identity non-negotiable: the emitted
 codes *are* the X-assignment channel (no side information), so a fast
 path that diverges in any tie-break silently changes the decompressed
 test set.  These tests drive random and exhaustive inputs through both
-engines and assert equality of everything observable — code sequences,
-container bytes, expansion accounting, encoder stats and the metrics
-counter/histogram snapshots.
+engines — the packed matcher (``"fast"``) and the oracle inside
+``reference_engine()`` (``"reference"``) — and assert equality of
+everything observable: code sequences, container bytes, expansion
+accounting, encoder stats and the metrics counter/histogram snapshots.
 """
 
 import itertools
-from dataclasses import replace
+from contextlib import nullcontext
 
 import hypothesis.strategies as st
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 
 from repro.bitstream import TernaryVector
 from repro.core import LZWConfig, LZWEncoder
+from repro.core.dontcare import reference_engine
 from repro.observability import CounterRecorder
 
 # ----------------------------------------------------------------------
@@ -25,10 +27,16 @@ from repro.observability import CounterRecorder
 # ----------------------------------------------------------------------
 
 
+def on(engine):
+    """Encoders built in this block decide on ``engine``."""
+    return reference_engine() if engine == "reference" else nullcontext()
+
+
 def _run(config, stream, engine, cancel=None):
     """Encode ``stream`` with ``engine``; return (compressed, stats, rec)."""
     rec = CounterRecorder()
-    encoder = LZWEncoder(replace(config, engine=engine), recorder=rec, cancel=cancel)
+    with on(engine):
+        encoder = LZWEncoder(config, recorder=rec, cancel=cancel)
     compressed = encoder.encode(stream)
     return compressed, encoder.stats(), rec
 
@@ -78,11 +86,12 @@ def test_engines_agree_on_random_streams(stream, config):
     config=configs,
 )
 @settings(max_examples=60, deadline=None)
-def test_engine_knob_never_changes_output(stream, config):
-    """``auto`` resolves to fast and matches reference byte-for-byte."""
-    auto, _, _ = _run(config, stream, "auto")
+def test_swap_never_changes_output(stream, config):
+    """An encoder built outside ``reference_engine()`` matches one built
+    inside it byte-for-byte."""
+    default = LZWEncoder(config).encode(stream)
     ref, _, _ = _run(config, stream, "reference")
-    assert auto.to_bits() == ref.to_bits()
+    assert default.to_bits() == ref.to_bits()
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,9 @@ dictionary snapshot plus a link code fully determine the encoder's
 future.  Concretely, for any stream and any split point ``k`` of its
 serial code sequence, encoding the stream suffix from
 ``derive_final_snapshot(codes[:k])`` with ``link=codes[k-1]`` must emit
-**exactly** ``codes[k:]`` — byte-identical, under both engines — and
+**exactly** ``codes[k:]`` — byte-identical, on both engines (the
+packed matcher, ``"fast"``, and the oracle inside ``reference_engine()``,
+``"reference"``) — and
 the seeded decoder must reproduce exactly the characters the serial
 decode produces past the split.  Anything less silently corrupts a
 pipelined-wave shard plan.
@@ -18,7 +20,7 @@ edges all land within reach.
 """
 
 import itertools
-from dataclasses import replace
+from contextlib import nullcontext
 
 import hypothesis.strategies as st
 import pytest
@@ -34,6 +36,7 @@ from repro.core import (
     decode_codes,
     derive_final_snapshot,
 )
+from repro.core.dontcare import reference_engine
 from repro.reliability.errors import SnapshotError
 
 # ----------------------------------------------------------------------
@@ -41,8 +44,14 @@ from repro.reliability.errors import SnapshotError
 # ----------------------------------------------------------------------
 
 
+def on(engine):
+    """Encoders built in this block decide on ``engine``."""
+    return reference_engine() if engine == "reference" else nullcontext()
+
+
 def _encode(config, stream, engine, seed=None, link=None):
-    encoder = LZWEncoder(replace(config, engine=engine), seed=seed, link=link)
+    with on(engine):
+        encoder = LZWEncoder(config, seed=seed, link=link)
     return encoder.encode(stream)
 
 
@@ -144,7 +153,8 @@ def test_seeded_engines_agree(stream, config):
 @settings(max_examples=100, deadline=None)
 def test_snapshot_roundtrip_and_replay(stream, config):
     """to_bytes/from_bytes/restore reproduce the live dictionary exactly."""
-    encoder = LZWEncoder(replace(config, engine="reference"))
+    with reference_engine():
+        encoder = LZWEncoder(config)
     encoder.encode(stream)
     snap = encoder.dictionary.snapshot()
     wire = snap.to_bytes()
@@ -216,14 +226,16 @@ def assert_forced_cut_roundtrip(config, stream, cut_chars, engine):
     if not 0 < bit_pos < len(stream):
         return
     head_part, tail_part = stream[:bit_pos], stream[bit_pos:]
-    enc0 = LZWEncoder(replace(config, engine=engine))
+    with on(engine):
+        enc0 = LZWEncoder(config)
     c0 = enc0.encode(head_part)
     seed = enc0.dictionary.snapshot()
     link = c0.codes[-1]
     # The derived chain seed equals the prefix encoder's live state.
     assert derive_final_snapshot(c0.codes, config) == seed
 
-    enc1 = LZWEncoder(replace(config, engine=engine), seed=seed, link=link)
+    with on(engine):
+        enc1 = LZWEncoder(config, seed=seed, link=link)
     c1 = enc1.encode(tail_part)
     # Seeded decode reproduces the suffix (bit count and all cared bits).
     decoded = decode(c1, seed=seed, link=link)
@@ -252,7 +264,8 @@ def test_duplicate_boundary_pair_regression():
     config = LZWConfig(char_bits=1, dict_size=8, entry_bits=4)
     stream = TernaryVector("0" * 12)
     for engine in ("reference", "fast"):
-        enc0 = LZWEncoder(replace(config, engine=engine))
+        with on(engine):
+            enc0 = LZWEncoder(config)
         c0 = enc0.encode(stream[:5])
         assert c0.codes == (0, 2, 2)
         seed = enc0.dictionary.snapshot()

@@ -4,27 +4,31 @@
 ``compress()`` for the same input and config, no matter how the input
 is chunked — including the adversarial chunkings: one bit at a time,
 a boundary splitting a phrase mid-match, an empty final chunk.  The
-suite runs the comparison under both engines, on both sides: the
-engine picks the driver's matcher for streaming and one-shot alike, so
-each engine's streaming output must equal the other's one-shot output.
+suite runs the comparison on both engines — the packed matcher
+(``"fast"``) and the oracle inside ``reference_engine()``
+(``"reference"``) — on both sides: the engine decides streaming and
+one-shot alike, so each engine's streaming output must equal the
+other's one-shot output.
 """
 
 import random
-from dataclasses import replace
+from contextlib import nullcontext
 
 import pytest
 
 from repro.bitstream import TernaryVector
 from repro.core import (
-    ChildSelector,
     DecodeError,
     LZWConfig,
     StreamDecoder,
     StreamEncoder,
     compress,
+    compress_batch,
     fastpath,
+    stream as stream_module,
 )
 from repro.core.decoder import derive_final_snapshot, iter_decode
+from repro.core.dontcare import ChildSelector, reference_engine
 from repro.core.fastpath import CACHE_LIMIT
 from repro.core.stream import chars_to_vector
 from repro.hardware import DecompressorModel
@@ -41,12 +45,19 @@ def other(engine):
     return "fast" if engine == "reference" else "reference"
 
 
+def on(engine):
+    """Encoders built in this block decide on ``engine``."""
+    return reference_engine() if engine == "reference" else nullcontext()
+
+
 def one_shot_codes(stream, config, engine):
-    return list(compress(stream, replace(config, engine=engine)).compressed.codes)
+    with on(engine):
+        return list(compress(stream, config).compressed.codes)
 
 
-def stream_codes(stream, config, chunk_bits, engine="auto"):
-    enc = StreamEncoder(replace(config, engine=engine))
+def stream_codes(stream, config, chunk_bits, engine="fast"):
+    with on(engine):
+        enc = StreamEncoder(config)
     codes = []
     if chunk_bits == 0:
         chunks = [stream]
@@ -188,8 +199,9 @@ def test_encoder_retention_is_bounded():
     RSS assertion under setrlimit lives in the CI smoke)."""
     for engine in ENGINES:
         config = LZWConfig(char_bits=4, dict_size=64, entry_bits=32,
-                           policy="lookahead", lookahead=4, engine=engine)
-        enc = StreamEncoder(config)
+                           policy="lookahead", lookahead=4)
+        with on(engine):
+            enc = StreamEncoder(config)
         rng = random.Random(10)
         chunk_chars = 32
         bound = config.max_entry_chars + config.lookahead + chunk_chars + 2
@@ -229,13 +241,30 @@ def test_cache_cap_never_changes_output(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Engine selection: the engine picks the streaming matcher too
+# Engine selection: reference_engine() reaches every encode path
 # ----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("engine,expect_calls", [("fast", False),
                                                  ("reference", True)])
 def test_engine_picks_the_streaming_matcher(monkeypatch, engine, expect_calls):
+    """Inside ``reference_engine()`` a one-shot ``compress``, a
+    ``workers=1`` batch and a chunked ``StreamEncoder`` each take their
+    decisions from the oracle; outside it none of them does."""
+    stream = TernaryVector("0110X01X" * 40)
+
+    def batch_container(on_engine):
+        with on(on_engine):
+            return compress_batch(CFG, [stream], workers=1)[0].container
+
+    paths = {
+        "compress": (lambda: one_shot_codes(stream, CFG, engine),
+                     one_shot_codes(stream, CFG, other(engine))),
+        "batch": (lambda: batch_container(engine),
+                  batch_container(other(engine))),
+        "stream": (lambda: stream_codes(stream, CFG, 7, engine),
+                   one_shot_codes(stream, CFG, other(engine))),
+    }
     calls = []
     original = ChildSelector.choose_child
 
@@ -243,11 +272,20 @@ def test_engine_picks_the_streaming_matcher(monkeypatch, engine, expect_calls):
         calls.append(args[0])
         return original(self, *args)
 
-    stream = TernaryVector("0110X01X" * 40)
-    expected = one_shot_codes(stream, CFG, other(engine))
     monkeypatch.setattr(ChildSelector, "choose_child", counting)
-    assert stream_codes(stream, CFG, 7, engine) == expected
-    assert bool(calls) == expect_calls
+    for path, (run, expected) in paths.items():
+        calls.clear()
+        assert run() == expected, path
+        assert bool(calls) == expect_calls, path
+    assert stream_module._new_matcher is fastpath.packed_matcher
+
+
+def test_reference_engine_restores_the_packed_matcher_on_error():
+    with pytest.raises(RuntimeError):
+        with reference_engine():
+            assert stream_module._new_matcher is not fastpath.packed_matcher
+            raise RuntimeError("boom")
+    assert stream_module._new_matcher is fastpath.packed_matcher
 
 
 # ----------------------------------------------------------------------
@@ -273,14 +311,15 @@ def test_reset_cycling_long_stream(engine):
     matches the cycle-accurate hardware model, and the decoder's final
     dictionary equals the encoder's."""
     config = LZWConfig(char_bits=3, dict_size=16, entry_bits=9,
-                       reset_on_full=True, engine=engine)
+                       reset_on_full=True)
     stream = build_testset("s9234f", scale=0.2).to_stream()
     rng = random.Random(12)
 
     expected = one_shot_codes(stream, config, other(engine))
     for one_bit_share in (1.0, 0.3, 0.05):
         rec = CounterRecorder()
-        enc = StreamEncoder(config, recorder=rec)
+        with on(engine):
+            enc = StreamEncoder(config, recorder=rec)
         codes = []
         for chunk in _random_chunks(stream, rng, one_bit_share):
             codes.extend(enc.feed(chunk))

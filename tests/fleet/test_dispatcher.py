@@ -103,6 +103,20 @@ def test_repeat_compress_hits_the_cache(fleet, client):
     assert counters[ev.FLEET_CACHE_MISSES] == 1
 
 
+def test_config_naming_engine_is_relayed_as_400_and_not_cached(
+    fleet, client, tmp_path
+):
+    for _ in range(2):
+        header, payload = client.compress(TEXT, config={"engine": "fast"})
+        assert header["code"] == 400
+        assert header["error"]["type"] == "ConfigError"
+        assert "engine" in header["error"]["message"]
+        assert "cache" not in header and payload == b""
+    assert list((tmp_path / "cache").glob("*/*")) == []
+    counters = fleet.recorder.snapshot()["counters"]
+    assert ev.FLEET_CACHE_HITS not in counters
+
+
 def test_client_errors_are_relayed_as_values(fleet, client):
     cases = [
         (client.compress(TEXT, config={"dict_sizes": 64}), 400, "ConfigError"),

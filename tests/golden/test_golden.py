@@ -13,11 +13,14 @@ configurations) this locks down, per case:
   that byte digests cannot localise: a digest mismatch says
   *something* changed, the counter diff says *which decision site*.
 
-Every case runs under *both* encoder engines against the same frozen
-entry: the fast path must reproduce the reference's artefacts exactly
-(codes imply the X assignments — a divergent tie-break is silent
-corruption), so an engine-specific digest would be a bug, not a reason
-to regenerate.
+Every case runs on *both* engines against the same frozen entry: the
+packed matcher (``"fast"``) and the oracle inside ``reference_engine()``
+(``"reference"``).  The packed matcher must reproduce the oracle's
+artefacts exactly (codes imply the X assignments — a divergent
+tie-break is silent corruption), so an engine-specific digest would be
+a bug, not a reason to regenerate.  Each encode path of a case also
+counts the oracle's decisions, so a swap that misses a path fails
+instead of comparing the packed matcher with itself.
 
 Any change to the encoder, the don't-care heuristics, the shard
 planner or the container framings shows up here as a digest mismatch.
@@ -32,13 +35,15 @@ and commit the updated ``golden.json`` alongside the code change.
 import functools
 import hashlib
 import json
-from dataclasses import replace
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from repro.container import dump_bytes
 from repro.core import LZWConfig, LZWEncoder, compress, compress_batch
+from repro.core.dontcare import ChildSelector, reference_engine
 from repro.observability import CounterRecorder
 from repro.parallel import plan_shards
 from repro.workloads import build_testset
@@ -97,26 +102,47 @@ def _testset(workload: str, scale: float):
     return build_testset(workload, scale=scale)
 
 
+@contextmanager
+def _on(engine: str, path: str):
+    """Encode on ``engine`` in the block; the oracle must decide iff it
+    is ``"reference"`` (``path`` names the encode for the message)."""
+    calls = []
+    original = ChildSelector.choose_base
+
+    def counting(self, *args):
+        calls.append(None)
+        return original(self, *args)
+
+    swap = reference_engine() if engine == "reference" else nullcontext()
+    with mock.patch.object(ChildSelector, "choose_base", counting), swap:
+        yield
+    assert bool(calls) == (engine == "reference"), (
+        f"{path} on engine={engine} made {len(calls)} oracle decisions"
+    )
+
+
 def _compute_case(
     workload: str, scale: float, config_name: str, engine: str = "reference"
 ) -> dict:
     """Everything the golden file freezes for one (workload, config).
 
-    ``engine`` selects the encoder implementation; both must reproduce
-    the *same* frozen artefacts (the fast path is locked byte-identical
-    to the reference), so the golden file stores one entry per case and
-    the comparison runs once per engine with zero digest churn.
+    ``engine`` selects the matcher; both must reproduce the *same*
+    frozen artefacts (the packed matcher is locked byte-identical to
+    the oracle), so the golden file stores one entry per case and the
+    comparison runs once per engine with zero digest churn.
     """
     test_set = _testset(workload, scale)
     stream = test_set.to_stream()
-    config = replace(CONFIGS[config_name], engine=engine)
+    config = CONFIGS[config_name]
 
     recorder = CounterRecorder()
-    result = compress(stream, config, recorder=recorder)
+    with _on(engine, "compress"):
+        result = compress(stream, config, recorder=recorder)
     container = dump_bytes(result.compressed, result.assigned_stream)
 
     plan = plan_shards(len(stream), max(1, len(stream) // 3), test_set.width)
-    item = compress_batch(config, [stream], workers=1, plans=[plan])[0]
+    with _on(engine, "compress_batch"):
+        item = compress_batch(config, [stream], workers=1, plans=[plan])[0]
     assert item.verify(stream)
 
     return {
@@ -152,12 +178,18 @@ def _compute_warm_case(
     """
     test_set = _testset(workload, scale)
     stream = test_set.to_stream()
-    config = replace(CONFIGS[config_name], engine=engine)
+    config = CONFIGS[config_name]
     plan = plan_shards(len(stream), max(1, len(stream) // 3), test_set.width)
     recorder = CounterRecorder()
-    item = compress_batch(
-        config, [stream], workers=1, plans=[plan], seed_plan=mode, recorder=recorder
-    )[0]
+    with _on(engine, f"compress_batch seed_plan={mode}"):
+        item = compress_batch(
+            config,
+            [stream],
+            workers=1,
+            plans=[plan],
+            seed_plan=mode,
+            recorder=recorder,
+        )[0]
     assert item.verify(stream)
     return {
         "segments": item.num_shards,
@@ -253,17 +285,17 @@ def test_golden_warm_case(request, workload, scale, config_name, mode, engine):
 
 
 def test_table3_ratio_pin_through_fast_path():
-    """Paper Table 3 headline, full scale, via ``engine=fast``.
+    """Paper Table 3 headline, full scale, via the packed matcher.
 
     s13207f at the paper configuration (C_C=7, N=1024, C_MDATA=63) must
     reproduce the repo's frozen ratio exactly *and* meet the paper's
-    reported 80.69% — run through the fast engine so the ratio pin and
-    the speedup path are the same code.  Only the fast engine makes a
-    full-scale pin cheap enough for tier-1.
+    reported 80.69% — run through the shipping encoder so the ratio pin
+    and the speedup path are the same code.  Only the packed matcher
+    makes a full-scale pin cheap enough for tier-1.
     """
     from repro.workloads import BENCHMARKS, build_testset
 
-    config = LZWConfig(char_bits=7, dict_size=1024, entry_bits=63, engine="fast")
+    config = LZWConfig(char_bits=7, dict_size=1024, entry_bits=63)
     stream = build_testset("s13207f", scale=1.0).to_stream()
     compressed = LZWEncoder(config).encode(stream)
     assert compressed.original_bits == 165200

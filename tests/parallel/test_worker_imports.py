@@ -89,6 +89,17 @@ def test_spawn_worker_holds_only_the_encode_path():
     assert _call_with_timeout.__module__ in loaded
 
 
+def test_service_server_loads_only_the_scan_corner_of_circuit():
+    # The server parses .test files, which needs TestSet and the netlist
+    # view under it, not the simulator, ATPG faults or .bench parser.
+    loaded = _modules_after("import repro.service.server")
+    circuit = [
+        name for name in loaded
+        if name == "repro.circuit" or name.startswith("repro.circuit.")
+    ]
+    assert circuit == ["repro.circuit", "repro.circuit.netlist", "repro.circuit.scan"]
+
+
 @pytest.mark.parametrize("attribute", ["compress_batch", "ShardResult"])
 def test_engine_names_stay_importable(attribute):
     # Journals, fsck and the durability campaign import ShardResult from

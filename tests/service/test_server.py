@@ -80,6 +80,13 @@ def test_bad_config_key_gets_400(client):
     assert header["error"]["type"] == "ConfigError"
 
 
+def test_config_naming_engine_gets_400(client):
+    header, _ = client.compress(TEXT, config={"engine": "fast"})
+    assert header["code"] == 400
+    assert header["error"]["type"] == "ConfigError"
+    assert "engine" in header["error"]["message"]
+
+
 def test_bad_config_value_gets_400(client):
     header, _ = client.compress(TEXT, config={"char_bits": -1})
     assert header["code"] == 400

@@ -1,5 +1,10 @@
 """Unit tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -169,3 +174,36 @@ class TestTable:
         out = capsys.readouterr().out
         assert "Download performance" in out
         assert "s13207f" in out
+
+
+class TestNoEngineFlag:
+    """The encoder has one matcher, so ``--engine`` is an unknown flag."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compress", "f.test"],
+            ["batch", "f.test"],
+            ["stats", "f.test"],
+            ["rtl"],
+        ],
+        ids=["compress", "batch", "stats", "rtl"],
+    )
+    def test_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--engine", "fast"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --engine fast" in capsys.readouterr().err
+
+    def test_exits_2_without_a_traceback(self, cube_file):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "compress", cube_file,
+             "--engine", "fast"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 2
+        assert "unrecognized arguments: --engine fast" in done.stderr
+        assert "Traceback" not in done.stderr

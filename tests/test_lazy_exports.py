@@ -11,6 +11,7 @@ from __future__ import annotations
 import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -22,11 +23,23 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 PACKAGES = (
     "repro",
     "repro.bitstream",
+    "repro.circuit",
     "repro.core",
     "repro.observability",
     "repro.parallel",
     "repro.reliability",
 )
+
+
+def _lazy_packages():
+    """Every package whose ``__init__`` builds its exports with
+    ``lazy_exports``, found by reading the source tree."""
+    root = Path(SRC)
+    return sorted(
+        ".".join(init.parent.relative_to(root).parts)
+        for init in root.glob("repro/**/__init__.py")
+        if "lazy_exports(" in init.read_text()
+    )
 
 _RESOLVE = """
 import importlib, json, sys
@@ -76,3 +89,17 @@ def test_star_import_binds_every_public_name():
     )
     assert json.loads(_python("-c", code)) == []
 
+
+def test_packages_list_every_lazy_package():
+    assert sorted(PACKAGES) == _lazy_packages()
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_no_export_shares_a_submodule_name(package):
+    # Importing a submodule binds it on the package under its own name,
+    # and a PEP 562 __getattr__ never sees a name already bound, so an
+    # export named like a submodule would mean the submodule or the
+    # export depending on import order.
+    pkg = importlib.import_module(package)
+    submodules = {info.name for info in pkgutil.iter_modules(pkg.__path__)}
+    assert sorted(submodules & set(pkg._EXPORTS)) == []
