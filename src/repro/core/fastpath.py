@@ -19,9 +19,12 @@ operations over packed match arrays, the same idiom
   ``(key ^ value) & care == 0`` runs for *all* candidates of a node in
   a handful of int ops: replicate the character's two masks across the
   lanes with a multiply, XOR/AND, and read the compatible lanes out of
-  ``(HIGH - t) & HIGH``;
+  ``(HIGH - t) & HIGH``.  A node that gains a child grows its table in
+  place — the new lane goes last, and every cached candidate tuple the
+  new character matches gains it — so an add never forces a rebuild;
 * a first-symbol index does the same over the active base codes for
-  phrase restarts;
+  phrase restarts; a fully specified character skips it, because its
+  only compatible base is itself;
 * for the lookahead policy, every node additionally keeps *suffix
   packs*: for each depth ``k`` up to the window, one packed integer
   whose lanes are the concatenated ``k``-character strings of all its
@@ -30,7 +33,11 @@ operations over packed match arrays, the same idiom
   ``k`` window characters (one masked compare per depth), and the lane
   popcounts give the candidate's exact unbudgeted DFS node consumption
   — which is how the reference's shared node budget is replicated
-  without walking the trie (see ``lookahead_best``).
+  without walking the trie (see ``lookahead_best``).  Each pack also
+  maps every first-step candidate to the guard bits of its lanes, so
+  the winner comes from one pass over the candidates, one AND against
+  the compatible-lane bitmap for each that would beat the best so far,
+  instead of extracting the bitmap's lanes one bit at a time.
 
 Around that matching core, the matcher amortises everything it can:
 
@@ -151,8 +158,10 @@ class PackedCandidateIndex:
     Lanes are ``C_C + 1`` bits wide: the low ``C_C`` bits hold a
     concrete child character (or base code), the top *guard* bit stays
     zero so per-lane zero detection ``(HIGH - t) & HIGH`` cannot borrow
-    across lanes.  Tables build lazily per node and are invalidated by
-    the matcher at the only two mutation sites (``add`` / ``reset``).
+    across lanes.  Tables build lazily per node.  A node that gains a
+    child grows its table and cached candidate tuples in place
+    (:meth:`grow`); only ``reset`` drops tables (:meth:`clear`), and
+    only an active-base set that grew rebuilds the first-symbol index.
     """
 
     __slots__ = (
@@ -180,14 +189,32 @@ class PackedCandidateIndex:
         self._bases_n = 0
         self._bases_cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         self._bases_stale = True
-        self._cached = 0  # upper bound on the per-node cache entries
+        # Candidate tuples cached across all nodes: tables are never
+        # dropped singly, so this is exact between the whole-index
+        # clears (reset, or the CACHE_LIMIT cap) that zero it.
+        self._cached = 0
 
     # ------------------------------------------------------------------
-    # Invalidation (called by the matcher at its mutation sites)
+    # Maintenance (called by the matcher at its mutation sites)
     # ------------------------------------------------------------------
-    def invalidate_node(self, code: int) -> None:
-        """Drop the tables of ``code`` after it gained a child."""
-        self._nodes.pop(code, None)
+    def grow(self, code: int, char: int, child: int) -> None:
+        """Append ``code``'s new ``child``, reached by ``char``, in place.
+
+        Codes allocate monotonically, so the new lane goes last and the
+        table stays in ascending code order (the reference's order);
+        each cached tuple whose masks ``char`` matches gains the pair.
+        """
+        entry = self._nodes.get(code)
+        if entry is None:
+            return
+        keys = entry[1]
+        entry[0] |= char << (len(keys) * self._lane)
+        keys.append(char)
+        entry[2].append(child)
+        cache = entry[3]
+        for mask_key, cands in cache.items():
+            if not (char ^ mask_key[0]) & mask_key[1]:
+                cache[mask_key] = cands + (char, child)
 
     def invalidate_bases(self) -> None:
         """Drop the first-symbol index after the active-base set grew."""
@@ -201,7 +228,7 @@ class PackedCandidateIndex:
 
     def cached_candidates(self) -> int:
         """Candidate tuples currently cached across all nodes."""
-        return sum(len(entry[3]) for entry in self._nodes.values())
+        return self._cached
 
     # ------------------------------------------------------------------
     # Packed scans
@@ -356,6 +383,7 @@ def packed_matcher(
     # memo key.  Most of a long stream encodes in this phase.
     frozen = not reset_on_full and dictionary.is_full
     index_candidates = index.candidates
+    index_grow = index.grow
     # Inlined cache hit paths for the two hottest lookups: the memo
     # misses hit these caches far more often than the packed scans
     # behind them.
@@ -367,21 +395,27 @@ def packed_matcher(
     # Lookahead: packed suffix tables + an exact budget replica
     # ------------------------------------------------------------------
     # K = window depth beyond the candidate itself.  packs[k][node] is
-    # [pack, nlanes]: one lane per depth-k descendant of node, each lane
-    # the concatenation of the k characters on the path (first consumed
-    # character in the low bits), k*C_C + 1 bits wide (guard bit on
-    # top).  Node -1 is the virtual trie root (parent of the base
-    # codes): its depth-k descendants are every allocated entry of
-    # length k, which lets one pack test cover all candidates of a
-    # *base* decision too.  Levels run to K + 1 because a decision
-    # consumes one character before the window: candidate depth d
-    # corresponds to level d + 1 of the candidates' common parent.
-    # Maintained append-only at the add site, cleared on reset — no
-    # other invalidation exists because lanes are never rewritten.
+    # [pack, nlanes, lane_cands, cand_masks]: one lane per depth-k
+    # descendant of node, each lane the concatenation of the k
+    # characters on the path (first consumed character in the low
+    # bits), k*C_C + 1 bits wide (guard bit on top).  lane_cands[j] is
+    # lane j's first-step child from node (the candidate it scores
+    # for), and cand_masks maps each such candidate to the guard bits
+    # of all its lanes, so a compatible-lane bitmap tells whether a
+    # candidate matched with one AND.  Node -1 is the virtual trie root
+    # (parent of the base codes): its depth-k descendants are every
+    # allocated entry of length k, which lets one pack test cover all
+    # candidates of a *base* decision too.  Levels run to K + 1 because
+    # a decision consumes one character before the window: candidate
+    # depth d corresponds to level d + 1 of the candidates' common
+    # parent.  Maintained append-only at the add site, cleared on
+    # reset — no other invalidation exists because lanes are never
+    # rewritten.
     K = window - 1 if policy == "lookahead" else 0
     KP = K + 1
     packs: List[Dict[int, list]] = [dict() for _ in range(KP + 1)]
     lane_w = [k * char_bits + 1 for k in range(KP + 1)]
+    guard = [k * char_bits for k in range(KP + 1)]  # guard bit in a lane
     # ones_tabs[k][m] replicates 1 across m lanes of width lane_w[k].
     ones_tabs: List[List[int]] = [[0] for _ in range(KP + 1)]
     # Rolling lookahead windows: RV[i]/RC[i] pack the retained decision
@@ -481,36 +515,51 @@ def packed_matcher(
     # shape and the DFS's sort keys only change through such adds.
     fullsim_cache: Dict[tuple, int] = {}
 
+    sver_get = sver.get
+
+    def append_lanes(anc: int, sfx: int, prev: int) -> None:
+        """Append a new entry's path suffix to its ancestors' packs.
+
+        ``anc`` is the entry's parent, ``sfx`` its last character and
+        ``prev`` the entry itself.  The ancestor at distance k gains a
+        depth-k descendant whose lane is the last k characters of the
+        new string (first consumed lowest) and whose candidate is
+        ``prev``, the path's first step below that ancestor.  The walk
+        ends at the virtual root (-1), whose lane is the entry's whole
+        string.
+        """
+        k = 1
+        while k <= KP:
+            pk = packs[k]
+            entry = pk.get(anc)
+            if entry is None:
+                pk[anc] = [sfx, 1, [prev], {prev: 1 << guard[k]}]
+            else:
+                pos = entry[1] * lane_w[k]
+                entry[0] |= sfx << pos
+                entry[1] += 1
+                entry[2].append(prev)
+                masks = entry[3]
+                masks[prev] = masks.get(prev, 0) | 1 << (pos + guard[k])
+            sver[anc] = sver_get(anc, 0) + 1
+            if anc == -1:
+                break
+            sfx = charr[anc] | (sfx << char_bits)
+            prev = anc
+            anc = parent[anc]
+            k += 1
+
     # Seeded dictionary: the suffix packs are maintained append-only at
     # the add site, so a dictionary restored from a snapshot arrives
     # with *empty* packs — the lookahead would silently degrade to the
     # weight argmax and diverge from the seeded reference.  Replay the
     # pack-maintenance walk for every pre-allocated entry in code order
     # (allocation order), which reproduces the exact pack lanes, lane
-    # order and ``sver`` counters an uninterrupted run would hold.
+    # order, candidate masks and ``sver`` counters an uninterrupted run
+    # would hold.
     if K and dictionary.allocated:
-        sver_bump = sver.get
-        for added in range(cfg.base_codes, dictionary.next_code):
-            sfx = charr[added]
-            prev = added
-            anc = parent[added]
-            k = 1
-            while k <= KP:
-                pk = packs[k]
-                entry = pk.get(anc)
-                if entry is None:
-                    pk[anc] = [sfx, 1, [prev]]
-                else:
-                    entry[0] |= sfx << (entry[1] * lane_w[k])
-                    entry[1] += 1
-                    entry[2].append(prev)
-                sver[anc] = sver_bump(anc, 0) + 1
-                if anc == -1:
-                    break
-                sfx = charr[anc] | (sfx << char_bits)
-                prev = anc
-                anc = parent[anc]
-                k += 1
+        for code in range(cfg.base_codes, dictionary.next_code):
+            append_lanes(parent[code], charr[code], code)
 
     def ztest(child: int, k: int, wv: int, wc: int) -> int:
         """Compatible-lane bitmap of ``child``'s depth-``k`` pack (0 = none)."""
@@ -523,8 +572,6 @@ def packed_matcher(
         t = (e[0] ^ wv * ones) & (wc * ones)
         high = ones << (k * char_bits)
         return (high - t) & high
-
-    sver_get = sver.get
 
     def cone_counts(child: int, te: int, wv_te: int, wc_te: int) -> tuple:
         """``(full, depth, cnt)`` of ``child``'s compatible window cone.
@@ -623,6 +670,7 @@ def packed_matcher(
         total = ncand
         ktop = 1  # deepest level with a compatible lane
         ztop = 0
+        etop = None
         k = 2
         while k <= te + 1:
             e = packs[k].get(node)
@@ -642,6 +690,7 @@ def packed_matcher(
                 break
             ktop = k
             ztop = zk
+            etop = e
             if k <= te:  # consuming levels are 2..te
                 total += popcount(zk)
             k += 1
@@ -661,39 +710,28 @@ def packed_matcher(
             return best
         # Unbudgeted winner: every candidate reaching the deepest
         # compatible level shares depth ktop-1 and beats all shallower
-        # ones, so only that level's lanes need the (weight, -code)
-        # tie-break.  Each lane's candidate (the path's first-step
-        # child — the base itself for root lanes) was recorded at
-        # append time, so winners come from an index lookup instead of
-        # digging characters out of the fat pack.
-        lane_cands = packs[ktop][node][2]
-        lw = lane_w[ktop]
-        kc = ktop * char_bits  # guard-bit offset within a lane
-        best = -1
-        best_w = -1
-        # 64-bit word walk: set bits are sparse in a fat bitmap, so
-        # chunking keeps every per-bit operation on machine ints
-        # instead of O(bitmap) bignum ops per extracted lane.  A single
-        # surviving lane (the common case at the deepest level) skips
-        # the walk entirely.
-        z = ztop
-        if not z & (z - 1):
-            best = lane_cands[(z.bit_length() - 1 - kc) // lw]
-            best_w = weight[best]
-            z = 0
-        pos = -kc
-        while z:
-            w64 = z & 0xFFFFFFFFFFFFFFFF
-            while w64:
-                low = w64 & -w64
-                cand = lane_cands[(pos + low.bit_length() - 1) // lw]
+        # ones, so only candidates with a lane in ztop enter the
+        # (weight, -code) tie-break.  Every such lane's first-step
+        # child is a compatible candidate (it matched the decision
+        # character), so one pass over the candidates finds the winner;
+        # a candidate's lane mask is ANDed with ztop only when it would
+        # beat the best so far.  A single surviving lane (the common
+        # case at the deepest level) names its candidate directly.
+        if not ztop & (ztop - 1):
+            lane = (ztop.bit_length() - 1 - guard[ktop]) // lane_w[ktop]
+            best = etop[2][lane]
+        else:
+            masks = etop[3]
+            best = -1
+            best_w = -1
+            for p in range(start, m, step):
+                cand = cands[p]
                 w = weight[cand]
-                if w > best_w or (w == best_w and cand < best):
+                if (w > best_w or (w == best_w and cand < best)) and (
+                    masks.get(cand, 0) & ztop
+                ):
                     best_w = w
                     best = cand
-                w64 &= w64 - 1
-            z >>= 64
-            pos += 64
         if total < budget_limit:
             # The shared budget provably cannot run out.
             return best
@@ -776,6 +814,11 @@ def packed_matcher(
     def base(i: int) -> int:
         value = values[i]
         care = cares[i]
+        if care == fullchar:
+            # The only compatible base is the character itself, active
+            # or as the zero-fill fallback (compatible_bases), and a
+            # single candidate wins under every policy.
+            return value
         if lookahead_policy:
             # Base decisions have up to 2**C_C candidates, so the
             # generic candidate-tuple memo key is expensive even on a
@@ -908,38 +951,13 @@ def packed_matcher(
     def added(bcode: int, head: int, new: int) -> None:
         nonlocal allocs, frozen
         allocs += 1
-        index.invalidate_node(bcode)
+        index_grow(bcode, head, new)
         if len(active_bases) != index._bases_n:
             index.invalidate_bases()
         if new == last_alloc_code and not reset_on_full:
             frozen = True
-        # Append the new entry's path suffix to the packs of its K+1
-        # nearest ancestors: the ancestor at distance k gains a
-        # depth-k descendant whose lane is the last k characters of
-        # the new string (first consumed lowest).  The walk ends at
-        # the virtual root (-1), whose lane is the entry's whole
-        # string.
         if K:
-            sfx = head
-            prev = new  # the path's first-step child from anc
-            anc = bcode
-            k = 1
-            while k <= KP:
-                pk = packs[k]
-                entry = pk.get(anc)
-                if entry is None:
-                    pk[anc] = [sfx, 1, [prev]]
-                else:
-                    entry[0] |= sfx << (entry[1] * lane_w[k])
-                    entry[1] += 1
-                    entry[2].append(prev)
-                sver[anc] = sver_get(anc, 0) + 1
-                if anc == -1:
-                    break
-                sfx = charr[anc] | (sfx << char_bits)
-                prev = anc
-                anc = parent[anc]
-                k += 1
+            append_lanes(bcode, head, new)
 
     def reset() -> None:
         nonlocal allocs, weight, children

@@ -240,6 +240,29 @@ def test_cache_cap_never_changes_output(monkeypatch):
     assert high_water["decision_memo"] == 16  # the cap was reached
 
 
+def test_cache_cap_with_in_place_growth_at_paper_config(monkeypatch):
+    """At the paper config a cap of 64 clears the node candidate caches
+    between the in-place appends that extend their tuples; the codes
+    still equal the uncapped run and the oracle."""
+    stream = build_testset("s9234f", scale=0.3, seed=1).to_stream()
+    config = LZWConfig()
+    uncapped = stream_codes(stream, config, 512, "fast")
+    assert uncapped == one_shot_codes(stream, config, "reference")
+    monkeypatch.setattr(fastpath, "CACHE_LIMIT", 64)
+    enc = StreamEncoder(config)
+    codes = []
+    cached = [0]
+    for i in range(0, len(stream), 512):
+        codes.extend(enc.feed(stream[i : i + 512]))
+        sizes = enc.cache_sizes()
+        assert max(sizes.values()) <= 64, sizes
+        cached.append(sizes["candidates"])
+    codes.extend(enc.finalize())
+    assert codes == uncapped
+    # Only a cap clear shrinks the node caches: it fired many times.
+    assert sum(b < a for a, b in zip(cached, cached[1:])) >= 5, cached
+
+
 # ----------------------------------------------------------------------
 # Engine selection: reference_engine() reaches every encode path
 # ----------------------------------------------------------------------
