@@ -357,25 +357,35 @@ class LZWDictionary:
         the entry would exceed the memory word, or the child already
         exists (no duplicate is created).
         """
-        if self.is_full or not self.can_extend(code):
+        # is_full and can_extend inlined, in that order: every encode,
+        # decode and restore allocates through here.
+        parent = self._parent
+        new_code = len(parent)
+        nchars = self._nchars
+        if (
+            new_code >= self.config.dict_size
+            or nchars[code] + 1 > self._max_chars
+        ):
             return None
-        if char in self._children[code]:
+        children = self._children
+        kids = children[code]
+        if char in kids:
             return None
-        new_code = len(self._parent)
-        self._parent.append(code)
+        parent.append(code)
         self._char.append(char)
-        self._nchars.append(self._nchars[code] + 1)
-        self._weight.append(1)
-        self._children.append(dict())
-        self._strings.append(self._strings[code] + (char,))
-        self._children[code][char] = new_code
+        nchars.append(nchars[code] + 1)
+        weight = self._weight
+        weight.append(1)
+        children.append({})
+        string = self._strings[code] + (char,)
+        self._strings.append(string)
+        kids[char] = new_code
         # Propagate subtree weights up to (and including) the base code.
         node = code
         while node != -1:
-            self._weight[node] += 1
-            node = self._parent[node]
-        base = self._strings[new_code][0]
-        self._active_bases.add(base)
+            weight[node] += 1
+            node = parent[node]
+        self._active_bases.add(string[0])
         return new_code
 
     # ------------------------------------------------------------------

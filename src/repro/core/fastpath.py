@@ -25,15 +25,23 @@ operations over packed match arrays, the same idiom
 * a first-symbol index does the same over the active base codes for
   phrase restarts; a fully specified character skips it, because its
   only compatible base is itself;
+* a child decision with no choice to make skips the tables and every
+  cache: a fully specified character is one exact ``dict.get``, and a
+  node with fewer than :data:`SMALL_NODE` children is scanned
+  directly — no compatible child is a phrase boundary, a single one
+  wins under every policy, and only two or more go on to the memo,
+  the table and the lookahead;
 * for the lookahead policy, every node additionally keeps *suffix
-  packs*: for each depth ``k`` up to the window, one packed integer
-  whose lanes are the concatenated ``k``-character strings of all its
-  depth-``k`` descendants.  A candidate's unbudgeted window depth is
-  the largest ``k`` whose pack has a lane compatible with the first
-  ``k`` window characters (one masked compare per depth), and the lane
-  popcounts give the candidate's exact unbudgeted DFS node consumption
-  — which is how the reference's shared node budget is replicated
-  without walking the trie (see ``lookahead_best``).  Each pack also
+  packs*: for each depth ``k`` from 2 up to the window, one packed
+  integer whose lanes are the concatenated ``k``-character strings of
+  all its depth-``k`` descendants (depth 1 would be the node's table
+  above, lane for lane, so the table serves as it).  A candidate's
+  unbudgeted window depth is the largest ``k`` whose pack has a lane
+  compatible with the first ``k`` window characters (one masked
+  compare per depth), and the lane popcounts give the candidate's
+  exact unbudgeted DFS node consumption — which is how the
+  reference's shared node budget is replicated without walking the
+  trie (see ``lookahead_best``).  Each pack also
   maps every first-step candidate to the guard bits of its lanes, so
   the winner comes from one pass over the candidates, one AND against
   the compatible-lane bitmap for each that would beat the best so far,
@@ -72,7 +80,9 @@ interpreter of the same decision, not a different one:
   order, snapshotted only between mutations (set iteration is stable
   while the set is unmodified);
 * the fully-specified shortcut (``care == (1 << len(char)) - 1`` →
-  exact ``dict.get``) is reproduced;
+  exact ``dict.get``) is reproduced, and a single compatible child is
+  returned before any policy runs, as ``ChildSelector.choose_child``
+  does;
 * the lookahead policy's shared node budget is replicated exactly: a
   failing candidate's DFS visits its whole compatible cone, so its
   consumption equals the pack popcount; a full-depth candidate's
@@ -83,7 +93,8 @@ interpreter of the same decision, not a different one:
 
 ``tests/core/test_engine_differential.py`` locks the contract with
 Hypothesis differential properties and exhaustive small-alphabet
-enumeration, selecting the oracle with
+enumeration (``tests/core/test_small_node_differential.py`` adds a
+hand-built trie for the small-node scan), selecting the oracle with
 :func:`~repro.core.dontcare.reference_engine`; ``tests/golden``
 re-verifies every golden digest through both.
 """
@@ -110,6 +121,15 @@ __all__ = [
 #: set fills (about 10.9k memo entries, s38417f), so one-shot encodes of
 #: those never clear; only longer streams do.
 CACHE_LIMIT = 1 << 14
+
+#: A child decision at a node with fewer children than this scans them
+#: directly and needs the decision machinery (memo, candidate table,
+#: lookahead) only when two or more are compatible.  On the perfbench
+#: corpus nearly half the X-carrying child decisions sit at nodes with
+#: at most three children, and three quarters of those have no choice
+#: to make.  It is a speed constant, not a setting: every cutoff gives
+#: the same codes.
+SMALL_NODE = 4
 
 #: Population count for the wide match bitmaps.  ``int.bit_count`` is a
 #: single C call on Python >= 3.10; the ``bin`` fallback keeps the
@@ -243,13 +263,13 @@ class PackedCandidateIndex:
                 ones.append(value)
         return ones[lanes]
 
-    def candidates(self, code: int, value: int, care: int) -> Tuple[int, ...]:
-        """Children of ``code`` compatible with the ternary char masks.
+    def table(self, code: int) -> list:
+        """``code``'s node table, built on first use.
 
-        Returns ``(char, child, char, child, ...)`` pairs flattened into
-        one tuple, in the reference's candidate order (dictionary
-        insertion order = ascending child code).  The fully-specified
-        shortcut lives in the caller — this is the generic X-aware scan.
+        ``[packed_keys, keys, codes, {(value, care): candidates}]``:
+        one lane per child in insertion order, kept current by
+        :meth:`grow`.  The matcher's lookahead reads it as the depth-1
+        suffix pack.
         """
         entry = self._nodes.get(code)
         if entry is None:
@@ -262,6 +282,19 @@ class PackedCandidateIndex:
                 packed |= key << shift
                 shift += width
             entry = self._nodes[code] = [packed, keys, list(kids.values()), {}]
+        return entry
+
+    def candidates(self, code: int, value: int, care: int) -> Tuple[int, ...]:
+        """Children of ``code`` compatible with the ternary char masks.
+
+        Returns ``(char, child, char, child, ...)`` pairs flattened into
+        one tuple, in the reference's candidate order (dictionary
+        insertion order = ascending child code).  The fully-specified
+        shortcut lives in the caller — this is the generic X-aware scan.
+        """
+        entry = self._nodes.get(code)
+        if entry is None:
+            entry = self.table(code)
         cache = entry[3]
         mask_key = (value, care)
         hit = cache.get(mask_key)
@@ -388,8 +421,10 @@ def packed_matcher(
     # misses hit these caches far more often than the packed scans
     # behind them.
     index_nodes = index._nodes
+    index_table = index.table
     index_base_candidates = index.base_candidates
     popcount = _popcount
+    small_node = SMALL_NODE
 
     # ------------------------------------------------------------------
     # Lookahead: packed suffix tables + an exact budget replica
@@ -410,7 +445,10 @@ def packed_matcher(
     # depth d corresponds to level d + 1 of the candidates' common
     # parent.  Maintained append-only at the add site, cleared on
     # reset — no other invalidation exists because lanes are never
-    # rewritten.
+    # rewritten.  The packs start at depth 2: depth 1 (a node's
+    # children, one C_C + 1-bit lane each) is exactly the candidate
+    # index's node table, which ``grow`` already keeps current, so
+    # ``ztest`` reads that table at k = 1 and packs[1] stays empty.
     K = window - 1 if policy == "lookahead" else 0
     KP = K + 1
     packs: List[Dict[int, list]] = [dict() for _ in range(KP + 1)]
@@ -526,10 +564,15 @@ def packed_matcher(
         new string (first consumed lowest) and whose candidate is
         ``prev``, the path's first step below that ancestor.  The walk
         ends at the virtual root (-1), whose lane is the entry's whole
-        string.
+        string.  The parent (k = 1) keeps no pack of its own, only its
+        structure version moves: its depth-1 lanes are the index table.
         """
-        k = 1
+        sver[anc] = sver_get(anc, 0) + 1
+        k = 2
         while k <= KP:
+            sfx = charr[anc] | (sfx << char_bits)
+            prev = anc
+            anc = parent[anc]
             pk = packs[k]
             entry = pk.get(anc)
             if entry is None:
@@ -544,9 +587,6 @@ def packed_matcher(
             sver[anc] = sver_get(anc, 0) + 1
             if anc == -1:
                 break
-            sfx = charr[anc] | (sfx << char_bits)
-            prev = anc
-            anc = parent[anc]
             k += 1
 
     # Seeded dictionary: the suffix packs are maintained append-only at
@@ -563,13 +603,24 @@ def packed_matcher(
 
     def ztest(child: int, k: int, wv: int, wc: int) -> int:
         """Compatible-lane bitmap of ``child``'s depth-``k`` pack (0 = none)."""
-        e = packs[k].get(child)
-        if e is None:
-            return 0
-        lanes = e[1]
+        if k == 1:
+            # Depth 1 is the index's node table (same lane layout).
+            if not children[child]:
+                return 0
+            e = index_nodes.get(child)
+            if e is None:
+                e = index_table(child)
+            pack = e[0]
+            lanes = len(e[1])
+        else:
+            e = packs[k].get(child)
+            if e is None:
+                return 0
+            pack = e[0]
+            lanes = e[1]
         tab = ones_tabs[k]
         ones = tab[lanes] if lanes < len(tab) else ones_for(k, lanes)
-        t = (e[0] ^ wv * ones) & (wc * ones)
+        t = (pack ^ wv * ones) & (wc * ones)
         high = ones << (k * char_bits)
         return (high - t) & high
 
@@ -872,6 +923,19 @@ def packed_matcher(
             # in LZWDictionary.compatible_children.
             nxt = children[buffer].get(value)
             return -1 if nxt is None else nxt
+        kids = children[buffer]
+        if len(kids) < small_node:
+            # No choice to make unless two children are compatible: none
+            # is a phrase boundary and a single one wins under every
+            # policy, so only a tie falls through to the decision below.
+            found = -1
+            for key, nxt in kids.items():
+                if not (key ^ value) & care:
+                    if found >= 0:
+                        break
+                    found = nxt
+            else:
+                return found
         if lookahead_policy:
             # O(1) memo for the whole child decision, same trick as
             # base(): (node, char, window) plus ``weight[node]`` pin

@@ -18,8 +18,13 @@ The durability story is therefore the whole design:
   stream digest).  A failed check unlinks the entry, bumps
   ``fleet.cache_corrupt`` and reports a miss — corrupt bytes are
   *never* served;
-* **bounding** — the entry count is capped; the oldest entries (mtime)
-  are evicted after each write.
+* **bounding** — the entry count is capped.  An in-process index
+  keeps the entries oldest first (built from one mtime-ordered scan
+  when the cache opens, then moved by every write and hit), and a
+  write that takes the cache over its bound evicts from the front of
+  it, so a write never rescans the directory.  The bound is this
+  process's: entries another process writes are counted when this one
+  reopens the cache or hits them.
 
 An entry file is one JSON metadata line (reply fields + container CRC)
 followed by the raw container bytes.  Only ``compress`` results are
@@ -33,6 +38,7 @@ import json
 import os
 import threading
 import zlib
+from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
@@ -74,6 +80,13 @@ def parse_entry(fingerprint: str, data: bytes) -> Tuple[Dict[str, Any], bytes]:
     return fields, container
 
 
+def _mtime(path: Path) -> float:
+    try:
+        return path.stat().st_mtime
+    except OSError:
+        return 0.0
+
+
 class ResultCache:
     """Bounded on-disk cache of ``(reply fields, container bytes)``.
 
@@ -95,6 +108,10 @@ class ResultCache:
         self.deep_verify = deep_verify
         self._lock = threading.Lock()
         self.directory.mkdir(parents=True, exist_ok=True)
+        # Entry paths, oldest first: the order the mtimes say.
+        self._order: "OrderedDict[Path, None]" = OrderedDict(
+            (path, None) for path in sorted(self._entries(), key=_mtime)
+        )
 
     def _path_for(self, fingerprint: str) -> Path:
         # Two-level fan-out keeps any one directory small.
@@ -121,7 +138,8 @@ class ResultCache:
         try:
             os.utime(path)  # LRU-ish: refresh the eviction clock on hits
         except OSError:
-            pass
+            return entry
+        self._touch(path)
         return entry
 
     def _verify(
@@ -142,6 +160,8 @@ class ResultCache:
             path.unlink()
         except OSError:
             pass
+        with self._lock:
+            self._order.pop(path, None)
         if self.recorder.enabled:
             self.recorder.incr(ev.FLEET_CACHE_CORRUPT)
 
@@ -187,7 +207,9 @@ class ResultCache:
                     os.replace(path, path.with_name(path.name + ".quarantine"))
                     stats["quarantined"] += 1
                 except OSError:
-                    pass
+                    continue
+                with self._lock:
+                    self._order.pop(path, None)
         try:
             tmp_files = [
                 path
@@ -225,7 +247,7 @@ class ResultCache:
             atomic_write_bytes(path, line + b"\n" + container)
         except (ContainerError, OSError):
             return  # full/readonly disk: the backend result still flows
-        self._evict()
+        self._touch(path)
 
     def _entries(self):
         try:
@@ -237,30 +259,22 @@ class ResultCache:
         except OSError:
             return []
 
-    def _evict(self) -> None:
-        """Drop oldest entries until the count bound holds again."""
+    def _touch(self, path: Path) -> None:
+        """Mark ``path`` newest; evict the oldest entries over the bound."""
+        evicted = 0
         with self._lock:
-            entries = self._entries()
-            excess = len(entries) - self.max_entries
-            if excess <= 0:
-                return
-
-            def mtime(path: Path) -> float:
+            order = self._order
+            order[path] = None
+            order.move_to_end(path)
+            while len(order) > self.max_entries:
+                oldest, _ = order.popitem(last=False)
                 try:
-                    return path.stat().st_mtime
-                except OSError:
-                    return 0.0
-
-            entries.sort(key=mtime)
-            evicted = 0
-            for path in entries[:excess]:
-                try:
-                    path.unlink()
+                    oldest.unlink()
                     evicted += 1
                 except OSError:
-                    pass
-            if evicted and self.recorder.enabled:
-                self.recorder.incr(ev.FLEET_CACHE_EVICTIONS, evicted)
+                    pass  # already gone (fsck, scrub, another process)
+        if evicted and self.recorder.enabled:
+            self.recorder.incr(ev.FLEET_CACHE_EVICTIONS, evicted)
 
     def __len__(self) -> int:
         return len(self._entries())

@@ -417,16 +417,18 @@ class StreamContainerWriter:
 
     def _flush_frame(self, codes: Sequence[int]) -> None:
         shadow = self._shadow
+        chars: List[int] = []
         try:
             for code in codes:
-                self._chars_crc = zlib.crc32(
-                    pack_chars(shadow.push(code)), self._chars_crc
-                )
+                chars.extend(shadow.push(code))
         except DecodeError as exc:
             raise ContainerError(
                 f"encoder emitted an undecodable code: {exc.message}",
                 frame=self._frame_index,
             ) from exc
+        # CRC32 is incremental over concatenation: one call per frame
+        # gives the same running value as one per code.
+        self._chars_crc = zlib.crc32(pack_chars(chars), self._chars_crc)
         cum_bits = shadow.chars_decoded * self.config.char_bits
         if self._total_bits is not None:
             cum_bits = min(cum_bits, self._total_bits)

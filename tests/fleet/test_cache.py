@@ -1,6 +1,7 @@
 """The verified result cache: hits must be trustworthy or become misses."""
 
 import json
+import os
 import zlib
 
 from repro.container import dump_bytes
@@ -123,3 +124,80 @@ def test_eviction_keeps_the_entry_bound(tmp_path):
         cache.put(fp, {}, container_for(text))
     assert len(cache) <= 2
     assert counters(recorder)[ev.FLEET_CACHE_EVICTIONS] >= 2
+
+
+def _put_text(cache, text):
+    fp = workload_fingerprint("compress", None, text.encode())
+    cache.put(fp, {}, container_for(text))
+    return cache._path_for(fp)
+
+
+class _Clock:
+    """Stamps each touched entry with the next whole second, so the
+    mtime order is the operation order on any filesystem's timestamp
+    resolution."""
+
+    def __init__(self):
+        self.now = 1_000_000_000
+
+    def stamp(self, path):
+        self.now += 1
+        os.utime(path, (self.now, self.now))
+        return path
+
+
+def _by_mtime(paths):
+    return sorted(paths, key=lambda path: path.stat().st_mtime)
+
+
+def test_eviction_follows_the_mtime_order(tmp_path):
+    """Writes and hits order the index the way they order the mtimes,
+    so eviction drops the entries an mtime sort of the directory names
+    oldest — in the process that wrote them and in one that reopens."""
+    clock = _Clock()
+    cache, recorder = make_cache(tmp_path, max_entries=4)
+    paths = [
+        clock.stamp(_put_text(cache, text))
+        for text in ("0001\n", "0010\n", "0100\n", "1000\n")
+    ]
+    for path in (paths[0], paths[2]):  # hits refresh the eviction clock
+        assert cache.get(path.name[: -len(_SUFFIX)]) is not None
+        clock.stamp(path)
+    oldest = _by_mtime(paths)
+    assert oldest[:2] == [paths[1], paths[3]]
+    newer = [
+        clock.stamp(_put_text(cache, text)) for text in ("0011\n", "0110\n")
+    ]
+    assert [path.exists() for path in oldest] == [False, False, True, True]
+    assert counters(recorder)[ev.FLEET_CACHE_EVICTIONS] == 2
+
+    # A reopened cache rebuilds the same order from one scan.
+    survivors = _by_mtime(oldest[2:] + newer)
+    reopened = ResultCache(tmp_path / "cache", max_entries=4)
+    _put_text(reopened, "1100\n")
+    assert [path.exists() for path in survivors] == [False, True, True, True]
+
+
+def test_put_below_the_bound_does_not_scan(tmp_path, monkeypatch):
+    cache, recorder = make_cache(tmp_path, max_entries=8)
+
+    def no_scan():
+        raise AssertionError("put rescanned the cache directory")
+
+    monkeypatch.setattr(cache, "_entries", no_scan)
+    for text in ("0101\n", "0110\n", "1001\n"):
+        _put_text(cache, text)
+    assert ev.FLEET_CACHE_EVICTIONS not in counters(recorder)
+
+
+def test_entry_removed_elsewhere_does_not_fail_put(tmp_path):
+    """An entry that another process, fsck or a scrub deleted is
+    dropped from the index without failing the write that evicts it."""
+    cache, recorder = make_cache(tmp_path, max_entries=2)
+    first = _put_text(cache, "0101\n")
+    second = _put_text(cache, "0110\n")
+    first.unlink()
+    third = _put_text(cache, "1001\n")
+    assert second.exists() and third.exists()
+    assert ev.FLEET_CACHE_EVICTIONS not in counters(recorder)
+    assert len(cache) == 2

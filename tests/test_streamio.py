@@ -11,7 +11,7 @@ import pytest
 from repro.bitstream import TernaryVector
 from repro.container import container_version, decode_container, load_seeded
 from repro.core import LZWConfig, StreamEncoder, compress
-from repro.reliability.errors import ContainerError
+from repro.reliability.errors import ContainerError, DecodeError
 from repro.streamio import (
     DEFAULT_CODES_PER_FRAME,
     FRAME_DATA,
@@ -230,3 +230,15 @@ def test_writer_refuses_after_finalize():
         writer.write_codes([0])
     with pytest.raises(RuntimeError):
         writer.finalize([], 0)
+
+
+def test_writer_rejects_an_undecodable_code():
+    """The shadow decoder refuses a code the encoder could not have
+    emitted; the frame is not written and the error is typed."""
+    sink = io.BytesIO()
+    writer = StreamContainerWriter(CFG, sink, codes_per_frame=2)
+    header_len = len(sink.getvalue())
+    with pytest.raises(ContainerError, match="undecodable code") as info:
+        writer.write_codes([3, CFG.dict_size + 5])
+    assert isinstance(info.value.__cause__, DecodeError)
+    assert len(sink.getvalue()) == header_len
