@@ -17,7 +17,10 @@ the service's whole robustness contract at once:
   reply's container is byte-identical to the serial ``repro compress``
   path (the local stream front door) on the same input;
 * **graceful drain** — SIGTERM ends the run with exit 0 and a valid
-  final ``repro.metrics/1`` snapshot on disk.
+  final ``repro.metrics/1`` snapshot on disk;
+* **counter invariant** (smoke) — the drained snapshot's
+  ``service.completed`` equals the smoke's OK replies, and its
+  ``encode.codes`` equals what the serial references encoded.
 
 Run it as CI does::
 
@@ -45,6 +48,7 @@ from pathlib import Path
 
 from repro.container import dump_bytes
 from repro.core import LZWConfig, compress
+from repro.observability import NULL_RECORDER, CounterRecorder
 from repro.reliability.campaign import TrialOutcome, classify_reply
 from repro.reliability.chaos import CLIENT_FAULTS, ClientFaultPlan
 from repro.reliability.errors import ProtocolError
@@ -76,22 +80,27 @@ SERVER_ARGS = [
 ]
 
 
-def _workload_texts():
+def _workload_texts(recorder=NULL_RECORDER):
     """The golden corpus as (name, cube text, serial container) triples."""
     triples = []
     for name, scale in WORKLOADS:
         test_set = build_testset(name, scale=scale)
         text = format_test_text(test_set)
-        result = compress(test_set.to_stream(), LZWConfig())
+        result = compress(test_set.to_stream(), LZWConfig(), recorder=recorder)
         serial = dump_bytes(result.compressed, result.assigned_stream)
         triples.append((name, text, serial))
     return triples
 
 
-def _raw_reference():
+def _raw_reference(recorder=NULL_RECORDER):
     """The v5 container the stream front door builds for RAW_PAYLOAD."""
     sink = io.BytesIO()
-    write_stream(LZWConfig(), raw_chunks(RAW_PAYLOAD, RAW_CHUNK_BYTES), sink)
+    write_stream(
+        LZWConfig(),
+        raw_chunks(RAW_PAYLOAD, RAW_CHUNK_BYTES),
+        sink,
+        recorder=recorder,
+    )
     return sink.getvalue()
 
 
@@ -306,9 +315,13 @@ def _check_metrics(metrics_path, stats):
 
 
 def run_smoke(report_path=None):
-    """Golden round-trip: three workloads, byte-equal to serial, drain 0."""
+    """Golden round-trip: three workloads, byte-equal to serial, drain 0,
+    and the drained counters agree with the replies and the references."""
     stats = Stats()
-    corpus = _workload_texts()
+    reference = CounterRecorder()
+    corpus = _workload_texts(reference)
+    raw_reference = _raw_reference(reference)
+    ok_replies = 0
     metrics_path = Path("soak_smoke_metrics.json").resolve()
     proc, address = _start_server(metrics_path)
     try:
@@ -318,6 +331,7 @@ def run_smoke(report_path=None):
                 if not header.get("ok"):
                     stats.violation(f"smoke compress({name}): {header}")
                     continue
+                ok_replies += 1
                 if payload != serial:
                     stats.violation(
                         f"smoke compress({name}): not byte-identical to "
@@ -325,6 +339,7 @@ def run_smoke(report_path=None):
                     )
                 stats.count("smoke.compress_ok")
                 header, _ = client.verify(payload)
+                ok_replies += bool(header.get("ok"))
                 if header.get("verify_exit_code") != 0:
                     stats.violation(f"smoke verify({name}): {header}")
                 else:
@@ -333,7 +348,8 @@ def run_smoke(report_path=None):
             header, payload = client.compress_stream(
                 RAW_PAYLOAD, chunk_bytes=RAW_CHUNK_BYTES
             )
-            if payload != _raw_reference() or RAW_PAYLOAD != b"".join(
+            ok_replies += bool(header.get("ok"))
+            if payload != raw_reference or RAW_PAYLOAD != b"".join(
                 iter_raw_bytes(StreamContainerReader(io.BytesIO(payload)))
             ):
                 stats.violation(f"smoke compress_stream: {header}")
@@ -342,6 +358,15 @@ def run_smoke(report_path=None):
     finally:
         _stop_server(proc, stats)
     counters = _check_metrics(metrics_path, stats)
+    expected = {
+        "service.completed": ok_replies,
+        "encode.codes": reference.counters.get("encode.codes", 0),
+    }
+    for name, value in expected.items():
+        if counters.get(name, 0) != value:
+            stats.violation(
+                f"drained counter {name} = {counters.get(name, 0)}, expected {value}"
+            )
     return _report(stats, counters, report_path, mode="smoke")
 
 

@@ -86,7 +86,7 @@ class LZ77Compressor(Compressor):
     def compress(self, stream: TernaryVector) -> BaselineResult:
         tokens, assigned_bits = self._tokenize(stream)
         bits = encode_tokens(tokens, self.config)
-        assigned = _bits_to_vector(assigned_bits)
+        assigned = TernaryVector(assigned_bits)
         return make_result(
             self,
             stream,
@@ -106,12 +106,8 @@ class LZ77Compressor(Compressor):
     ) -> Tuple[List[Token], List[int]]:
         cfg = self.config
         n = len(stream)
-        care = stream.care_mask
-        value = stream.value_mask
-        # Local 0/1/None arrays for O(1) per-bit access in the hot loop.
-        look = [
-            ((value >> i) & 1) if (care >> i) & 1 else None for i in range(n)
-        ]
+        # Local 0/1/None array for O(1) per-bit access in the hot loop.
+        look = list(stream)
         assigned: List[int] = []
         tokens: List[Token] = []
         min_match = cfg.effective_min_match
@@ -197,12 +193,4 @@ def decode_lz77(
                 out.append(out[start + k])
     if len(out) != original_bits:
         raise ValueError("decoded length does not match original_bits")
-    return _bits_to_vector(out)
-
-
-def _bits_to_vector(bits: List[int]) -> TernaryVector:
-    value = 0
-    for i, b in enumerate(bits):
-        if b:
-            value |= 1 << i
-    return TernaryVector.from_int(value, len(bits))
+    return TernaryVector(out)

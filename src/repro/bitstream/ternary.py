@@ -18,20 +18,46 @@ Position ``i`` of the vector maps to integer bit ``i`` (LSB-first): the
 *first* bit of the stream is the least significant bit of both masks.
 :meth:`TernaryVector.to_int` and :meth:`TernaryVector.from_int` follow
 the same convention, so round-trips never reorder bits.
+
+Text and per-position conversions
+---------------------------------
+Converting between the masks and 0/1/X text is linear and runs at C
+level: a mask's binary digits come from ``format(mask, "b")`` and go
+back through ``int(digits, 2)`` (power-of-two bases convert in linear
+time and are exempt from CPython's int/str digit limit), and
+``bytes.translate`` maps between digits and characters.  Rendering adds
+the care and value digit strings byte-wise — ``'0' + '0'``, ``'1' +
+'0'`` and ``'1' + '1'`` give three distinct bytes for X, 0 and 1 —
+as one big-integer addition that never carries.  Iteration and the
+fills walk those digit strings rather than shifting ``1 << i`` through
+an i-bit mask per position, which would be quadratic in the length.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterable, Iterator, List, Optional, Sequence, Union
+import re
+from itertools import compress
+from typing import Iterable, Iterator, List, NoReturn, Optional, Sequence, Union
 
 __all__ = ["X", "TernaryVector"]
 
 #: Sentinel used for a don't-care position when iterating / indexing.
 X = None
 
-_CHAR_TO_BIT = {"0": 0, "1": 1, "x": X, "X": X, "-": X}
-_BIT_TO_CHAR = {0: "0", 1: "1", X: "X"}
+#: Text byte -> care digit; ``2`` (not a base-2 digit) marks a bad byte.
+_CARE_DIGIT = bytes(
+    0x31 if c in b"01" else 0x30 if c in b"xX-" else 0x32 for c in range(256)
+)
+#: Text byte -> value digit (only meaningful once the care digits parsed).
+_VALUE_DIGIT = bytes(0x31 if c == 0x31 else 0x30 for c in range(256))
+#: Byte-wise sum of a care and a value digit -> display character.
+_SUM_CHAR = bytes.maketrans(b"\x60\x61\x62", b"X01")
+#: Byte-wise digit sum -> bit as iteration yields it (0, 1 or X).
+_SUM_BIT = tuple({0x61: 0, 0x62: 1}.get(c, X) for c in range(256))
+#: Binary digit -> truth byte, for :func:`itertools.compress`.
+_DIGIT_FLAG = bytes.maketrans(b"01", b"\x00\x01")
+_BAD_CHAR = re.compile(r"[^01xX\-]")
 
 
 class TernaryVector:
@@ -45,23 +71,29 @@ class TernaryVector:
     __slots__ = ("_value", "_care", "_length")
 
     def __init__(self, bits: Union[str, Iterable[Optional[int]], None] = None):
-        value = 0
-        care = 0
-        length = 0
-        if bits is not None:
-            if isinstance(bits, str):
-                bits = (_parse_char(ch) for ch in bits)
+        if bits is None:
+            text = b""
+        elif isinstance(bits, str):
+            try:
+                text = bits.encode("ascii")
+            except UnicodeEncodeError:
+                _reject(bits)
+        else:
+            text = bytearray()
+            append = text.append
             for bit in bits:
-                if bit is not X:
-                    if bit not in (0, 1):
-                        raise ValueError(f"ternary bit must be 0, 1 or X, got {bit!r}")
-                    care |= 1 << length
-                    if bit:
-                        value |= 1 << length
-                length += 1
-        self._value = value
-        self._care = care
-        self._length = length
+                if bit is X:
+                    append(0x58)  # "X"
+                elif bit in (0, 1):
+                    append(0x31 if bit else 0x30)
+                else:
+                    raise ValueError(f"ternary bit must be 0, 1 or X, got {bit!r}")
+        try:
+            self._care = _from_digits(text.translate(_CARE_DIGIT))
+        except ValueError:
+            _reject(bits)
+        self._value = _from_digits(text.translate(_VALUE_DIGIT))
+        self._length = len(text)
 
     # ------------------------------------------------------------------
     # Constructors
@@ -112,26 +144,34 @@ class TernaryVector:
         """A random vector where each bit is X with probability ``x_density``."""
         if not 0.0 <= x_density <= 1.0:
             raise ValueError("x_density must be within [0, 1]")
-        rng = rng or random
-        value = 0
-        care = 0
+        draw = (rng or random).random
+        care = bytearray(b"0" * length)
+        value = bytearray(b"0" * length)
         for i in range(length):
-            if rng.random() >= x_density:
-                care |= 1 << i
-                if rng.random() < 0.5:
-                    value |= 1 << i
-        return cls.from_masks(value, care, length)
+            if draw() >= x_density:
+                care[i] = 0x31
+                if draw() < 0.5:
+                    value[i] = 0x31
+        return cls.from_masks(_from_digits(value), _from_digits(care), length)
 
     @classmethod
     def concat_all(cls, parts: Sequence["TernaryVector"]) -> "TernaryVector":
-        """Concatenate many vectors efficiently (left part comes first)."""
-        value = 0
-        care = 0
-        length = 0
-        for part in parts:
-            value |= part._value << length
-            care |= part._care << length
-            length += part._length
+        """Concatenate many vectors (left part comes first).
+
+        Neighbours merge pairwise, level by level, so each bit is shifted
+        ``log2(len(parts))`` times; folding every part into one growing
+        accumulator would be quadratic in the part count.
+        """
+        items = [(p._value, p._care, p._length) for p in parts]
+        while len(items) > 1:
+            merged = [
+                (v1 | v2 << n1, c1 | c2 << n1, n1 + n2)
+                for (v1, c1, n1), (v2, c2, n2) in zip(items[::2], items[1::2])
+            ]
+            if len(items) % 2:
+                merged.append(items[-1])
+            items = merged
+        value, care, length = items[0] if items else (0, 0, 0)
         return cls.from_masks(value, care, length)
 
     # ------------------------------------------------------------------
@@ -154,13 +194,18 @@ class TernaryVector:
         return self._length
 
     def __iter__(self) -> Iterator[Optional[int]]:
-        value, care = self._value, self._care
-        for i in range(self._length):
-            bit = 1 << i
-            if care & bit:
-                yield 1 if value & bit else 0
-            else:
-                yield X
+        return map(_SUM_BIT.__getitem__, self._digit_sums())
+
+    def _digit_sums(self) -> bytes:
+        """Care digit + value digit per position, as one byte each."""
+        n = self._length
+        if not n:
+            return b""
+        care = int.from_bytes(format(self._care, f"0{n}b").encode("ascii"), "little")
+        value = int.from_bytes(format(self._value, f"0{n}b").encode("ascii"), "little")
+        # The digits were read most significant first as little-endian
+        # bytes, so the big-endian result lists position 0 first.
+        return (care + value).to_bytes(n, "big")
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -205,7 +250,7 @@ class TernaryVector:
         return hash((self._value, self._care, self._length))
 
     def __str__(self) -> str:
-        return "".join(_BIT_TO_CHAR[b] for b in self)
+        return self._digit_sums().translate(_SUM_CHAR).decode("ascii")
 
     def __repr__(self) -> str:
         shown = str(self) if self._length <= 64 else str(self[:61]) + "..."
@@ -286,27 +331,40 @@ class TernaryVector:
 
     def fill_repeat_last(self, initial: int = 0) -> "TernaryVector":
         """Resolve each X to the most recent specified bit (run-extending)."""
-        out_value = 0
-        last = initial
-        for i in range(self._length):
-            bit = 1 << i
-            if self._care & bit:
-                last = 1 if self._value & bit else 0
-            if last:
-                out_value |= bit
-        mask = (1 << self._length) - 1 if self._length else 0
-        return TernaryVector.from_masks(out_value, mask, self._length)
+        n = self._length
+        mask = (1 << n) - 1
+        ones = self._value
+        free = mask ^ self._care
+        if initial:
+            # A specified 1 just before position 0 extends into a leading run.
+            ones = (ones << 1) | 1
+            free <<= 1
+        # Runs of ones-or-X: each fills with 1 from its first one on.  The
+        # X prefix of a run that starts with X is what an add carries
+        # through, starting from the run's lowest bit.
+        runs = ones | free
+        starts = runs & ~(runs << 1) & free
+        lead = free & ~(free + starts)
+        out = runs & ~lead
+        if initial:
+            out >>= 1
+        return TernaryVector.from_masks(out, mask, n)
 
     def fill_random(self, rng: Optional[random.Random] = None) -> "TernaryVector":
         """Resolve each X to an independent fair coin flip."""
-        rng = rng or random
+        draw = (rng or random).random
+        n = self._length
+        mask = (1 << n) - 1
+        free = mask ^ self._care
         value = self._value
-        for i in range(self._length):
-            bit = 1 << i
-            if not self._care & bit and rng.random() < 0.5:
-                value |= bit
-        mask = (1 << self._length) - 1 if self._length else 0
-        return TernaryVector.from_masks(value, mask, self._length)
+        if free:
+            digits = bytearray(_to_digits(value, n))
+            flags = _to_digits(free, n).translate(_DIGIT_FLAG)
+            for i in compress(range(n), flags):
+                if draw() < 0.5:
+                    digits[i] = 0x31
+            value = _from_digits(digits)
+        return TernaryVector.from_masks(value, mask, n)
 
     def to_int(self) -> int:
         """Integer value of a fully specified vector (first bit = LSB)."""
@@ -318,11 +376,36 @@ class TernaryVector:
         """Split into consecutive ``width``-bit pieces (last may be short)."""
         if width <= 0:
             raise ValueError("chunk width must be positive")
-        return [self[i : i + width] for i in range(0, self._length, width)]
+        # Cut 256 chunks' worth off the masks at a time, so no shift
+        # touches more than one block: slicing every chunk off the full
+        # masks would be quadratic in the length.
+        n = self._length
+        value, care = self._value, self._care
+        span = width * 256
+        block_mask = (1 << min(span, n)) - 1
+        out = []
+        for start in range(0, n, span):
+            v, c = value & block_mask, care & block_mask
+            value >>= span
+            care >>= span
+            for pos in range(start, min(start + span, n), width):
+                out.append(TernaryVector.from_masks(v, c, min(width, n - pos)))
+                v >>= width
+                c >>= width
+        return out
 
 
-def _parse_char(ch: str) -> Optional[int]:
-    try:
-        return _CHAR_TO_BIT[ch]
-    except KeyError:
-        raise ValueError(f"invalid ternary character {ch!r}") from None
+def _to_digits(mask: int, n: int) -> bytes:
+    """The ``n`` binary digits of ``mask`` as ASCII, position 0 first."""
+    return format(mask, f"0{n}b").encode("ascii")[::-1] if n else b""
+
+
+def _from_digits(digits) -> int:
+    """Inverse of :func:`_to_digits`; ``ValueError`` on a non-binary digit."""
+    return int(digits[::-1], 2) if digits else 0
+
+
+def _reject(text: str) -> NoReturn:
+    """Raise the error naming the first character that is not 0/1/X."""
+    bad = _BAD_CHAR.search(text)
+    raise ValueError(f"invalid ternary character {bad.group()!r}")

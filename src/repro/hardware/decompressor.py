@@ -178,7 +178,7 @@ class DecompressorModel:
 
         total_internal = max(engine_free, download_done)
         tester_cycles = -(-total_internal // k)
-        stream = _bits_to_vector(out_bits)[:original_bits]
+        stream = TernaryVector(out_bits)[:original_bits]
         if len(stream) < original_bits:
             raise ValueError(
                 f"decompressed only {len(stream)} of {original_bits} scan bits"
@@ -208,11 +208,3 @@ def _unpack_chars(data: int, length_bits: int, char_bits: int) -> Tuple[int, ...
     return tuple(
         (data >> (i * char_bits)) & mask for i in range(length_bits // char_bits)
     )
-
-
-def _bits_to_vector(bits: List[int]) -> TernaryVector:
-    value = 0
-    for i, b in enumerate(bits):
-        if b:
-            value |= 1 << i
-    return TernaryVector.from_int(value, len(bits))

@@ -167,7 +167,16 @@ class ServiceConfig:
 
 
 class _LockedRecorder(Recorder):
-    """Thread-safety shim: many threads share the server's recorder."""
+    """Thread-safety shim: many threads share the server's recorder.
+
+    What still records through it, one event at a time: the server-level
+    counters of ``_process`` (completed, errors, deadlines, latency),
+    connection threads (admission, protocol faults, disconnects), the
+    breaker gate, the drain and the supervisor's retry bookkeeping.
+    Codec work does not: each op attempt records into its own unlocked
+    :class:`CounterRecorder`, folded in here by one :meth:`merge_child`
+    when the attempt ends (:meth:`CompressionServer._handle_op`).
+    """
 
     def __init__(self, inner: Recorder) -> None:
         self.inner = inner
@@ -684,40 +693,52 @@ class CompressionServer:
     # -- request handlers ----------------------------------------------
 
     def _handle_op(self, job: _Job) -> Tuple[Dict[str, Any], bytes]:
-        """Execute one op; returns (reply fields, reply payload)."""
+        """Execute one op attempt; returns (reply fields, reply payload).
+
+        The attempt records into its own unlocked :class:`CounterRecorder`,
+        folded into the shared recorder once when the attempt ends —
+        replied, failed with a typed error or crashed — so a request
+        takes the shared lock once instead of once per phrase or code.
+        """
+        shared = self.recorder
+        rec = CounterRecorder() if shared.enabled else shared
         token = job.token
-        token.check()
         op = job.op
-        if op == "compress":
-            return self._op_compress(job)
-        if op == "compress_stream":
-            return self._op_compress_stream(job)
-        if op == "decompress":
-            stream = decode_container(job.payload, recorder=self.recorder)
+        try:
             token.check()
-            return {"bits": len(stream)}, str(stream).encode("ascii")
-        if op == "verify":
-            from ..reliability.verify import verify_container
-
-            report = verify_container(job.payload, None, recorder=self.recorder)
-            return (
-                {"verify_exit_code": report.exit_code, "detail": report.describe()},
-                b"",
-            )
-        if op == "sleep":  # debug op: deterministic slow request
-            seconds = float(job.header.get("seconds", 0.1))
-            deadline = time.monotonic() + seconds
-            while time.monotonic() < deadline:
+            if op == "compress":
+                return self._op_compress(job, rec)
+            if op == "compress_stream":
+                return self._op_compress_stream(job, rec)
+            if op == "decompress":
+                stream = decode_container(job.payload, recorder=rec)
                 token.check()
-                time.sleep(0.01)
-            return {"slept": seconds}, b""
-        if op == "fail":  # debug op: deterministic pool failure
-            from ..reliability.chaos import InjectedWorkerError
+                return {"bits": len(stream)}, str(stream).encode("ascii")
+            if op == "verify":
+                from ..reliability.verify import verify_container
 
-            raise InjectedWorkerError("injected service worker failure")
-        raise ProtocolError(f"unknown op {op!r}", reason="bad_field", field="op")
+                report = verify_container(job.payload, None, recorder=rec)
+                return (
+                    {"verify_exit_code": report.exit_code, "detail": report.describe()},
+                    b"",
+                )
+            if op == "sleep":  # debug op: deterministic slow request
+                seconds = float(job.header.get("seconds", 0.1))
+                deadline = time.monotonic() + seconds
+                while time.monotonic() < deadline:
+                    token.check()
+                    time.sleep(0.01)
+                return {"slept": seconds}, b""
+            if op == "fail":  # debug op: deterministic pool failure
+                from ..reliability.chaos import InjectedWorkerError
 
-    def _op_compress(self, job: _Job) -> Tuple[Dict[str, Any], bytes]:
+                raise InjectedWorkerError("injected service worker failure")
+            raise ProtocolError(f"unknown op {op!r}", reason="bad_field", field="op")
+        finally:
+            if rec is not shared:
+                shared.merge_child(rec.snapshot(), "request")
+
+    def _op_compress(self, job: _Job, rec: Recorder) -> Tuple[Dict[str, Any], bytes]:
         try:
             text = job.payload.decode("utf-8")
         except UnicodeDecodeError:
@@ -730,7 +751,7 @@ class CompressionServer:
         result = compress(
             test_set.to_stream(),
             config,
-            recorder=self.recorder,
+            recorder=rec,
             cancel=job.token,
             seed=seed,
         )
@@ -740,12 +761,12 @@ class CompressionServer:
             container = dump_segments(
                 [result.compressed],
                 [result.assigned_stream],
-                recorder=self.recorder,
+                recorder=rec,
                 seeds=[SegmentSeed(SEED_BLOB, seed, None)],
             )
         else:
             container = dump_bytes(
-                result.compressed, result.assigned_stream, recorder=self.recorder
+                result.compressed, result.assigned_stream, recorder=rec
             )
         job.token.check()
         fields = {
@@ -758,7 +779,9 @@ class CompressionServer:
             fields["seed_digest"] = seed.digest
         return fields, container
 
-    def _op_compress_stream(self, job: _Job) -> Tuple[Dict[str, Any], bytes]:
+    def _op_compress_stream(
+        self, job: _Job, rec: Recorder
+    ) -> Tuple[Dict[str, Any], bytes]:
         """Chunked raw-bytes compression into a v5 frame journal.
 
         The payload is opaque bytes (the X-density-0 degenerate mode);
@@ -796,7 +819,7 @@ class CompressionServer:
             raw_chunks(data, positive("chunk_bytes", 1 << 16)),
             sink,
             codes_per_frame=positive("codes_per_frame", DEFAULT_CODES_PER_FRAME),
-            recorder=self.recorder,
+            recorder=rec,
             cancel=job.token,
         )
         container = sink.getvalue()

@@ -35,13 +35,11 @@ def test_partial_envelope_marked_and_complete_one_unmarked(tmp_path):
     assert on_disk["counters"]["encode.codes"] == 3
 
 
-def _big_workload(tmp_path, lines=12000, width=64):
+def _big_workload(tmp_path, lines=36000, width=64):
     rng = random.Random(7)
     path = tmp_path / "big.test"
     path.write_text(
-        "\n".join(
-            "".join(rng.choice("01X") for _ in range(width)) for _ in range(lines)
-        )
+        "\n".join("".join(rng.choices("01X", k=width)) for _ in range(lines))
         + "\n"
     )
     return path
@@ -53,9 +51,9 @@ def _run_and_interrupt(tmp_path, command, signum, sync):
     ``sync`` is how we know the run is inside the guarded section:
     ``"readline"`` waits for the first output line (``compress`` prints
     the workload summary before encoding), ``float`` seconds sleep
-    (``batch`` prints nothing until the work is done; the 12k-line
-    workload encodes for ~3s, so a 1.5s delay lands mid-encode with
-    a wide margin on both sides).
+    (``batch`` prints nothing until the work is done; the 36k-line
+    workload runs for ~4s on a 2-CPU x86-64 VM, so a 1.5s
+    delay lands mid-encode with a wide margin on both sides).
     """
     metrics = tmp_path / "metrics.json"
     env = dict(os.environ)
