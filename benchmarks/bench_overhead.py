@@ -22,6 +22,17 @@ cannot drift from the code it measures: a recorder call added to the
 loop outside its ``if recording:`` guards shows up on the timed side
 only.
 
+Two same-run speed floors ride along, timed the same way on the paper
+corpus (the seven ``DEFAULT_CORPUS`` circuits at full scale):
+
+* the oracle matcher's encode (inside ``reference_engine()``) must take
+  at least :data:`MIN_ENGINE_SPEEDUP` times the packed matcher's;
+* a reference serial ``compress`` must take at least
+  :data:`MIN_WAVE_SPEEDUP` times an inline wave-seeded batch.
+
+Both are ratios of two runs on one machine, so no committed baseline
+goes stale; cross-commit timing is ``benchmarks/perf_gate.py``'s job.
+
 Run it as CI does::
 
     PYTHONPATH=src python benchmarks/bench_overhead.py
@@ -38,15 +49,24 @@ import sys
 import textwrap
 import time
 
-from repro.core import LZWConfig, LZWEncoder
+from repro.core import LZWConfig, LZWEncoder, compress, compress_batch
 from repro.core import encoder as encoder_module
 from repro.core import stream as stream_module
-from repro.workloads import build_testset
+from repro.core.dontcare import reference_engine
+from repro.workloads import DEFAULT_CORPUS, build_corpus, build_testset
 
 CONFIG = LZWConfig(char_bits=7, dict_size=1024, entry_bits=63)
 
 #: Timing pairs; the median pair ratio keeps scheduler noise out.
 DEFAULT_ROUNDS = 5
+
+#: Oracle encode over packed encode, paper corpus: floor on the median.
+MIN_ENGINE_SPEEDUP = 5.0
+#: Reference serial compress over inline wave batch: floor on the median.
+MIN_WAVE_SPEEDUP = 2.0
+#: Timing pairs of each speed floor.  Both read about twice their floor,
+#: and an oracle pass takes seconds, so three pairs are enough.
+SPEED_ROUNDS = 3
 
 
 def _is_recorder(node: ast.expr) -> bool:
@@ -149,9 +169,53 @@ def _paired_ratios(rounds: int, fn_a, fn_b):
     return best_a, best_b, ratios
 
 
+def _on_oracle(fn):
+    def run():
+        with reference_engine():
+            fn()
+
+    return run
+
+
+def speed_floors():
+    """``[(label, median ratio, floor)]`` of the same-run speed floors."""
+    sets = [test_set for _, test_set in build_corpus(DEFAULT_CORPUS, scale=1.0)]
+    streams = [test_set.to_stream() for test_set in sets]
+
+    def encode():
+        for stream in streams:
+            LZWEncoder(CONFIG).encode(stream)
+
+    def serial():
+        for stream in streams:
+            compress(stream, CONFIG)
+
+    def wave():
+        compress_batch(
+            CONFIG,
+            streams,
+            workers=1,
+            shard_bits=4096,
+            pattern_bits=[test_set.width for test_set in sets],
+            seed_plan="wave",
+        )
+
+    floors = []
+    for label, fast, slow, floor in (
+        ("engine speedup (oracle / packed encode)", encode, _on_oracle(encode),
+         MIN_ENGINE_SPEEDUP),
+        ("wave speedup (reference serial / inline wave)", wave, _on_oracle(serial),
+         MIN_WAVE_SPEEDUP),
+    ):
+        _, _, ratios = _paired_ratios(SPEED_ROUNDS, fast, slow)
+        floors.append((label, statistics.median(ratios), floor))
+    return floors
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Assert the NullRecorder observability overhead budget."
+        description="Assert the NullRecorder overhead budget and the same-run "
+        "engine and wave speed floors."
     )
     parser.add_argument(
         "--max-overhead-percent",
@@ -164,7 +228,7 @@ def main(argv=None) -> int:
         "--rounds",
         type=int,
         default=DEFAULT_ROUNDS,
-        help=f"timing pairs (default: {DEFAULT_ROUNDS})",
+        help=f"timing pairs of the overhead check (default: {DEFAULT_ROUNDS})",
     )
     parser.add_argument(
         "--scale",
@@ -214,8 +278,19 @@ def main(argv=None) -> int:
         f"overhead: {overhead:+.2f}% median of {args.rounds} paired ratios "
         f"(budget {args.max_overhead_percent}%)"
     )
-    if overhead > args.max_overhead_percent:
+    failed = overhead > args.max_overhead_percent
+    if failed:
         print("bench_overhead: FAIL — overhead budget exceeded", file=sys.stderr)
+
+    for label, ratio, floor in speed_floors():
+        print(
+            f"{label}: {ratio:.2f}x median of {SPEED_ROUNDS} paired ratios "
+            f"(floor {floor}x)"
+        )
+        if ratio < floor:
+            print(f"bench_overhead: FAIL — {label} below {floor}x", file=sys.stderr)
+            failed = True
+    if failed:
         return 1
     print("bench_overhead: PASS")
     return 0

@@ -91,7 +91,10 @@ decodes with the dictionary restored from its blob-table snapshot.  A
 derived from the previous segment's codes, never stored — with the
 cross-segment link code being the previous segment's last code.  A
 container whose segments are all cold is written in the v2/v3 formats
-bit-for-bit, so cold plans never see the v4 framing.
+bit-for-bit, so cold plans never see the v4 framing — unless the
+configuration resets its dictionary when full (``reset_on_full``):
+only the v4 header has a flags byte to record that, so such a
+container is v4 whatever its segments.
 
 **One model under every layout.**  Whatever the version, a container
 holds the same thing: the configuration, a CRC-covered header span and
@@ -107,7 +110,7 @@ is then a walk over the parsed segments: resolve the seed, check the
 payload, unpack the codes, decode under the seed, check the digest
 (:func:`_walk`).  One packer writes all three current layouts and picks
 the smallest that holds the segments: one cold segment is v2, all cold
-is v3, anything warm is v4.
+is v3, anything warm (or any ``reset_on_full`` configuration) is v4.
 
 The three checksums split the failure modes cleanly:
 
@@ -888,6 +891,17 @@ def _walk(
         yield prev._replace(decoder=None)
 
 
+def _all_cold_fits(model: _Container, newest: int) -> bool:
+    """True when a v4 container holds only what a v2 (one segment) or
+    v3 (several) loader can return: cold segments, as a
+    ``reset_on_full`` configuration writes them."""
+    return (
+        model.version == 4
+        and all(entry.seed_mode == SEED_COLD for entry in model.segments)
+        and (newest >= 3 or len(model.segments) == 1)
+    )
+
+
 def _load(
     data: bytes,
     newest: int,
@@ -903,7 +917,7 @@ def _load(
     not recorded.
     """
     model = _parse(data)
-    if model.version > newest:
+    if model.version > newest and not _all_cold_fits(model, newest):
         kind = "multi-segment" if model.version == 3 else "seeded"
         loader = "load_segments" if model.version == 3 else "load_seeded"
         raise ContainerError(
@@ -949,6 +963,9 @@ def load_bytes(
 ) -> CompressedStream:
     """Parse v1/v2 container bytes back into a :class:`CompressedStream`.
 
+    A v4 container that holds one cold segment (how a ``reset_on_full``
+    configuration is written) loads too.
+
     With ``verify`` (the default) a version-2 container is decoded and
     the decode checked against the stored digest, which catches
     corruptions that keep both CRCs valid.  The checked decode stays on
@@ -968,7 +985,9 @@ def load_segments(
     """Parse container bytes into one :class:`CompressedStream` per segment.
 
     Accepts v1–v3: v1/v2 containers load as a single segment, v3
-    containers as their full segment sequence.  Integrity failures
+    containers as their full segment sequence.  A v4 container whose
+    segments are all cold (a ``reset_on_full`` configuration) loads as
+    its segments too.  Integrity failures
     raise :class:`ContainerError` carrying the failing ``segment`` index.
     """
     return tuple(step.compressed for step in _load(data, 3, verify, recorder))
@@ -1060,12 +1079,15 @@ def _pack(
 ) -> bytes:
     """Serialise segments in the smallest layout that holds them.
 
-    One cold segment is v2, all cold segments v3, anything warm v4.
+    One cold segment is v2, all cold segments v3, anything warm v4.  A
+    ``reset_on_full`` configuration is v4 too: v1–v3 headers have no
+    flags byte, and a reader that does not reset where the encoder did
+    cannot decode the codes.
     """
     config = parts[0].config
     rec = recorder if recorder is not None else NULL_RECORDER
     with rec.span("pack"):
-        if any(seed.mode != SEED_COLD for seed in seeds):
+        if config.reset_on_full or any(seed.mode != SEED_COLD for seed in seeds):
             version = 4
         else:
             version = 2 if len(parts) == 1 else 3

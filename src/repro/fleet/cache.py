@@ -42,7 +42,7 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
-from ..container import load_bytes
+from ..container import load_seeded
 from ..observability import NULL_RECORDER, Recorder
 from ..observability import events as ev
 from ..reliability.atomic import atomic_write_bytes
@@ -147,10 +147,11 @@ class ResultCache:
     ) -> Optional[Tuple[Dict[str, Any], bytes]]:
         try:
             fields, container = parse_entry(fingerprint, data)
+            # Any v1–v4 layout: a seeded compress replies with v4.
             # verify=False still checks the header and payload CRCs;
             # deep_verify additionally decodes the stream and checks
             # the stored digest (catches CRC-preserving tampering).
-            load_bytes(container, verify=self.deep_verify)
+            load_seeded(container, verify=self.deep_verify)
         except (ContainerError, ReproError, ValueError):
             return None
         return fields, container

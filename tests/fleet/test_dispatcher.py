@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.container import dump_bytes
-from repro.core import LZWConfig, compress
+from repro.container import container_version, dump_bytes
+from repro.core import LZWConfig, compress, derive_final_snapshot
 from repro.fleet import FleetConfig, FleetDispatcher
 from repro.observability import schema as ev
 from repro.reliability.errors import ConfigError
@@ -101,6 +101,22 @@ def test_repeat_compress_hits_the_cache(fleet, client):
     counters = fleet.recorder.snapshot()["counters"]
     assert counters[ev.FLEET_CACHE_HITS] == 1
     assert counters[ev.FLEET_CACHE_MISSES] == 1
+
+
+def test_repeat_seeded_compress_hits_the_cache(fleet, client):
+    """A seeded compress replies with v4; the cache must keep it."""
+    trained = compress(parse_test_text(TEXT * 4).to_stream(), LZWConfig())
+    seed = derive_final_snapshot(trained.compressed.codes, LZWConfig())
+    first_header, first = client.compress(TEXT, seed=seed.to_bytes())
+    assert first_header["ok"] and container_version(first) == 4
+    second_header, second = client.compress(TEXT, seed=seed.to_bytes())
+    assert second_header["cache"] == "hit"
+    assert second == first
+    counters = fleet.recorder.snapshot()["counters"]
+    assert counters[ev.FLEET_CACHE_HITS] == 1
+    assert counters.get(ev.FLEET_CACHE_CORRUPT, 0) == 0
+    stats = fleet.cache.scrub()
+    assert (stats["scanned"], stats["clean"], stats["corrupt"]) == (1, 1, 0)
 
 
 def test_config_naming_engine_is_relayed_as_400_and_not_cached(

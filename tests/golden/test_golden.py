@@ -4,9 +4,12 @@ For a small fixed corpus (three tiny synthetic workloads × three LZW
 configurations) this locks down, per case:
 
 * the serial path — compressed bit count, code count, ratio and the
-  SHA-256 of the v2 container bytes;
+  SHA-256 of the container bytes (v2; v4 under ``reset_on_full``);
 * the batch path — segment count and the SHA-256 of the multi-segment
   container produced by a fixed pattern-aligned shard plan;
+* that every pinned container reads back: ``decode_container`` of its
+  bytes covers the input (a digest pins the bytes, not that their own
+  reader accepts them);
 * the recorder-counter snapshot of the serial ``compress`` (encode plus
   assign, which runs no decoder) — the per-decision event counts
   (dictionary allocations, C_MDATA truncations, X bits resolved, ...)
@@ -41,7 +44,7 @@ from unittest import mock
 
 import pytest
 
-from repro.container import dump_bytes
+from repro.container import decode_container, dump_bytes
 from repro.core import LZWConfig, LZWEncoder, compress, compress_batch
 from repro.core.dontcare import ChildSelector, reference_engine
 from repro.observability import CounterRecorder
@@ -144,6 +147,8 @@ def _compute_case(
     with _on(engine, "compress_batch"):
         item = compress_batch(config, [stream], workers=1, plans=[plan])[0]
     assert item.verify(stream)
+    assert decode_container(container) == result.assigned_stream
+    assert decode_container(item.container).covers(stream)
 
     return {
         "original_bits": result.original_bits,
@@ -191,6 +196,7 @@ def _compute_warm_case(
             recorder=recorder,
         )[0]
     assert item.verify(stream)
+    assert decode_container(item.container).covers(stream)
     return {
         "segments": item.num_shards,
         "compressed_bits": item.compressed_bits,

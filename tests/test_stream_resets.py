@@ -8,6 +8,12 @@ boundaries: the codes equal one-shot ``compress``, the container
 decodes back to the input bytes, salvage of a torn tail recovers
 exactly the whole-frame prefix, and ``stream.chunks_fed`` counts the
 chunks on the CLI and service surfaces alike.
+
+The same stream, compressed one-shot, must read back through the v1–v4
+container readers too: ``dump_bytes``, a cold ``compress_batch`` and
+the service ``compress`` reply all write v4, whose flags byte carries
+``reset_on_full`` (a v2 or v3 header would drop it and the reader
+would stop resetting where the encoder did).
 """
 
 import io
@@ -18,7 +24,14 @@ import pytest
 
 from repro.bitstream import TernaryVector
 from repro.cli import main
-from repro.core import LZWConfig, compress
+from repro.container import (
+    container_version,
+    decode_container,
+    dump_bytes,
+    load_bytes,
+    load_segments,
+)
+from repro.core import LZWConfig, compress, compress_batch, decode
 from repro.observability import CounterRecorder
 from repro.observability import schema as ev
 from repro.reliability.salvage import salvage_container
@@ -68,10 +81,12 @@ def _encode(chunk_bytes: int, config: LZWConfig = CONFIG):
     return sink.getvalue(), written, recorder.snapshot()["counters"]
 
 
+STREAM = TernaryVector.from_int(int.from_bytes(DATA, "little"), len(DATA) * 8)
+
+
 @pytest.fixture(scope="module")
 def reference():
-    stream = TernaryVector.from_int(int.from_bytes(DATA, "little"), len(DATA) * 8)
-    return compress(stream, CONFIG)
+    return compress(STREAM, CONFIG)
 
 
 @pytest.fixture(scope="module")
@@ -158,3 +173,43 @@ def test_service_metrics_count_chunks_fed(container):
         server.drain()
     assert counters[ev.STREAM_CHUNKS_FED] == _chunks(77)
     assert counters[ev.DICT_RESETS] >= 50
+
+
+def test_one_shot_container_round_trips(reference):
+    data = dump_bytes(reference.compressed, reference.assigned_stream)
+    assert container_version(data) == 4
+    loaded = load_bytes(data, verify=True)
+    assert loaded.config == CONFIG
+    assert loaded.codes == reference.compressed.codes
+    assert decode(loaded) == STREAM
+    assert decode_container(data) == STREAM
+
+
+def test_cold_batch_container_round_trips():
+    recorder = CounterRecorder()
+    (item,) = compress_batch(
+        CONFIG, [STREAM], workers=1, shard_bits=len(STREAM) // 3,
+        pattern_bits=8, recorder=recorder,
+    )
+    assert item.num_shards >= 3
+    assert recorder.snapshot()["counters"][ev.DICT_RESETS] >= 50
+    assert container_version(item.container) == 4
+    assert len(load_segments(item.container)) == item.num_shards
+    assert decode_container(item.container) == STREAM
+
+
+def test_service_compress_reply_round_trips(reference):
+    # One byte of the stream per cube row: the rows concatenate back
+    # into STREAM.
+    text = str(STREAM)
+    rows = "\n".join(text[i : i + 8] for i in range(0, len(text), 8))
+    server = CompressionServer(ServiceConfig(workers=1, queue_depth=4))
+    server.start()
+    try:
+        with ServiceClient(server.address) as client:
+            header, payload = client.compress(rows, config=CONFIG_FIELDS)
+    finally:
+        server.drain()
+    assert header["ok"], header
+    assert payload == dump_bytes(reference.compressed, reference.assigned_stream)
+    assert decode(load_bytes(payload, verify=True)) == STREAM
