@@ -447,12 +447,12 @@ def _cmd_decompress(args: argparse.Namespace) -> int:
         return _cmd_decompress_stream(args, source, True)
     source.close()
     from .bitstream.ternary import TernaryVector
-    from .container import _load
+    from .container import load_seeded
     from .reliability.atomic import atomic_write_text
 
-    # One strict walk decodes each segment once and checks its digest
-    # on that decode (the pass decode_container returns).
-    segments = _load(Path(args.file).read_bytes(), 4, True, None, decode=True)
+    # The verifying load decodes each segment once and checks its digest
+    # on that decode, which it hands back.
+    segments = load_seeded(Path(args.file).read_bytes())
     stream = TernaryVector.concat_all([seg.stream for seg in segments])
     config = segments[0].compressed.config
     num_codes = sum(seg.compressed.num_codes for seg in segments)

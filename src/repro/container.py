@@ -112,6 +112,14 @@ payload, unpack the codes, decode under the seed, check the digest
 the smallest that holds the segments: one cold segment is v2, all cold
 is v3, anything warm (or any ``reset_on_full`` configuration) is v4.
 
+**One read contract.**  A loader accepts by what the model holds, not
+by version: :func:`load_seeded` and :func:`decode_container` read any
+v1–v4 container, :func:`load_bytes` any whose model is one cold
+segment.  Every fault they raise is a :class:`ContainerError`
+(:class:`SnapshotError` for an unreadable seed blob) carrying the
+failing ``segment``; a failed decode chains the decoder's
+:class:`DecodeError` as its ``__cause__``.
+
 The three checksums split the failure modes cleanly:
 
 * the **header CRC** catches any flipped header field (the payload CRC
@@ -164,16 +172,13 @@ __all__ = [
     "SEED_MODE_NAMES",
     "SegmentInfo",
     "SegmentSeed",
-    "SeededSegmentInfo",
     "container_version",
     "decode_container",
     "dump_bytes",
     "dump_segments",
     "load_bytes",
     "load_seeded",
-    "load_segments",
     "dump_file",
-    "load_file",
     "stream_digest",
 ]
 
@@ -319,12 +324,17 @@ COLD_SEED = SegmentSeed()
 
 
 class LoadedSegment(NamedTuple):
-    """One loaded segment plus the seeding state it decodes under."""
+    """One loaded segment plus the seeding state it decodes under.
+
+    ``stream`` is the decode the digest was checked on, ``None`` when
+    the load did not verify.
+    """
 
     compressed: CompressedStream
     seed: Optional[DictionarySnapshot]
     link: Optional[int]
     seed_mode: int
+    stream: Optional[TernaryVector] = None
 
 
 class SegmentInfo(NamedTuple):
@@ -344,10 +354,6 @@ class SegmentInfo(NamedTuple):
     stream_crc: Optional[int]
     seed_mode: int = SEED_COLD
     blob_index: int = _NO_BLOB
-
-
-#: The v4-era name of :class:`SegmentInfo`, kept for existing imports.
-SeededSegmentInfo = SegmentInfo
 
 
 class BlobInfo(NamedTuple):
@@ -693,10 +699,11 @@ def _resolve_seed(
             field="seed_mode",
         )
     if prev.error is not None:
-        raise DecodeError(
+        raise ContainerError(
             f"segment {index} chains from segment {index - 1}, which failed "
             "its own checks; its seed cannot be derived",
             segment=index,
+            field="seed_mode",
         )
     try:
         # A walk that did not decode the predecessor re-derives its state.
@@ -734,7 +741,7 @@ def _walk_segment(
 
     def where(field: str) -> dict:
         if model.single:
-            return {"byte_offset": model.layout.header.offset[field]}
+            return {"segment": index, "byte_offset": model.layout.header.offset[field]}
         return {"segment": index}
 
     def fail(stage: str, error: ReproError) -> _Step:
@@ -891,40 +898,22 @@ def _walk(
         yield prev._replace(decoder=None)
 
 
-def _all_cold_fits(model: _Container, newest: int) -> bool:
-    """True when a v4 container holds only what a v2 (one segment) or
-    v3 (several) loader can return: cold segments, as a
-    ``reset_on_full`` configuration writes them."""
-    return (
-        model.version == 4
-        and all(entry.seed_mode == SEED_COLD for entry in model.segments)
-        and (newest >= 3 or len(model.segments) == 1)
-    )
-
-
 def _load(
     data: bytes,
-    newest: int,
     verify: bool,
     recorder: Optional[Recorder],
     decode: bool = False,
+    single: bool = False,
 ) -> List[_Step]:
     """The strict walk: every segment passes every stage, or raise.
 
-    ``newest`` is the latest version the caller can represent.  The
-    recorder counts the container read and, when the caller asked for
-    the decode (``decode``), the decode itself; a verify-only decode is
-    not recorded.
+    Faults are raised as the read contract (module docstring) says;
+    ``single`` rejects any container but one cold segment.  The recorder
+    counts the container read and, when the caller asked for the decode
+    (``decode``), the decode itself; a verify-only decode is not
+    recorded.
     """
     model = _parse(data)
-    if model.version > newest and not _all_cold_fits(model, newest):
-        kind = "multi-segment" if model.version == 3 else "seeded"
-        loader = "load_segments" if model.version == 3 else "load_seeded"
-        raise ContainerError(
-            f"{kind} (v{model.version}) container; load it with {loader}()",
-            byte_offset=4,
-            field="version",
-        )
     rec = recorder if recorder is not None else NULL_RECORDER
     if rec.enabled:
         rec.incr(ev.CONTAINER_BYTES_READ, len(data))
@@ -932,6 +921,14 @@ def _load(
     fault = _header_crc_fault(model)
     if fault is not None:
         raise fault
+    if single:
+        warm = sum(entry.seed_mode != SEED_COLD for entry in model.segments)
+        if len(model.segments) > 1 or warm:
+            raise ContainerError(
+                f"container holds {len(model.segments)} segments ({warm} warm), "
+                "not one cold segment; load it with load_seeded()",
+                field="segment_count",
+            )
     blobs = _resolve_blobs(model)
     for blob in blobs:
         if isinstance(blob, ReproError):
@@ -942,14 +939,18 @@ def _load(
     ):
         if step.error is None:
             steps.append(step)
-        elif step.stage == "decode" and model.layout.blob_entry is not None:
-            raise ContainerError(
-                f"segment does not decode under its declared seed: {step.error}",
-                segment=step.index,
-                field="seed_mode",
-            ) from step.error
-        else:
+        elif step.stage != "decode":
             raise step.error
+        else:
+            # Only a warm segment's failure can be its seed's.
+            mode = step.entry.seed_mode
+            seed = (
+                "" if mode == SEED_COLD else f" under its {SEED_MODE_NAMES[mode]} seed"
+            )
+            what = "code stream" if model.single else f"segment {step.index}"
+            raise ContainerError(
+                f"{what} does not decode{seed}: {step.error}", segment=step.index
+            ) from step.error
     return steps
 
 
@@ -961,53 +962,43 @@ def _load(
 def load_bytes(
     data: bytes, verify: bool = True, recorder: Optional[Recorder] = None
 ) -> CompressedStream:
-    """Parse v1/v2 container bytes back into a :class:`CompressedStream`.
+    """Parse a container of one cold segment into a :class:`CompressedStream`.
 
-    A v4 container that holds one cold segment (how a ``reset_on_full``
-    configuration is written) loads too.
+    Any v1–v4 container whose model is exactly one cold segment loads
+    (v2, and v4 as a ``reset_on_full`` configuration writes it); any
+    other raises :class:`ContainerError` pointing to :func:`load_seeded`.
 
-    With ``verify`` (the default) a version-2 container is decoded and
-    the decode checked against the stored digest, which catches
-    corruptions that keep both CRCs valid.  The checked decode stays on
-    the returned stream, so a following
-    :func:`~repro.core.decoder.decode` of it costs nothing.
-    ``verify=False`` skips the decode and with it the only check against
-    such tampering: a later ``decode`` never looks at the digest.  Pass
-    it only when the stream is not decoded under its stored digest at
-    all (a seeded segment, or a read of the codes alone).
+    With ``verify`` (the default) the segment is decoded and the decode
+    checked against the stored digest, which catches corruptions that
+    keep both CRCs valid.  The checked decode stays on the returned
+    stream, so a following :func:`~repro.core.decoder.decode` of it
+    costs nothing.  ``verify=False`` skips the decode and with it the
+    only check against such tampering: a later ``decode`` never looks
+    at the digest.  Pass it only when the stream is not decoded under
+    its stored digest at all (a seeded shard, or a read of the codes
+    alone).  Every fault raises :class:`ContainerError`.
     """
-    return _load(data, 2, verify, recorder)[0].compressed
-
-
-def load_segments(
-    data: bytes, verify: bool = True, recorder: Optional[Recorder] = None
-) -> Tuple[CompressedStream, ...]:
-    """Parse container bytes into one :class:`CompressedStream` per segment.
-
-    Accepts v1–v3: v1/v2 containers load as a single segment, v3
-    containers as their full segment sequence.  A v4 container whose
-    segments are all cold (a ``reset_on_full`` configuration) loads as
-    its segments too.  Integrity failures
-    raise :class:`ContainerError` carrying the failing ``segment`` index.
-    """
-    return tuple(step.compressed for step in _load(data, 3, verify, recorder))
+    return _load(data, verify, recorder, single=True)[0].compressed
 
 
 def load_seeded(
     data: bytes, verify: bool = True, recorder: Optional[Recorder] = None
 ) -> Tuple[LoadedSegment, ...]:
-    """Parse container bytes into seed-aware segments, any v1–v4 version.
+    """Parse container bytes of any v1–v4 version into seed-aware segments.
 
     v1/v2/v3 containers load as cold segments; v4 containers resolve
     each segment's seeding state — blob snapshots are CRC-checked and
     parsed, chain states taken from the previous segment's decode (or,
-    with ``verify=False``, re-derived from its codes).
-    Integrity failures raise :class:`ContainerError` (or
-    :class:`SnapshotError` for malformed blobs).
+    with ``verify=False``, re-derived from its codes).  With ``verify``
+    each segment carries the decode its digest was checked on.  Every
+    fault raises :class:`ContainerError` (:class:`SnapshotError` for a
+    malformed blob).
     """
     return tuple(
-        LoadedSegment(step.compressed, step.seed, step.link, step.entry.seed_mode)
-        for step in _load(data, 4, verify, recorder)
+        LoadedSegment(
+            step.compressed, step.seed, step.link, step.entry.seed_mode, step.stream
+        )
+        for step in _load(data, verify, recorder)
     )
 
 
@@ -1020,13 +1011,14 @@ def decode_container(
     per-segment decodes in table order; v4 segments decode under their
     declared seeding state; v5 streaming containers decode frame by
     frame with per-frame digest verification.  Each segment decodes
-    once: the digest is checked on the decode that is returned.
+    once: the digest is checked on the decode that is returned.  Every
+    fault raises :class:`ContainerError`, as in :func:`load_seeded`.
     """
     if container_version(data) == _VERSION_STREAM:
         from .streamio import decode_stream_bytes
 
         return decode_stream_bytes(data, recorder=recorder)
-    steps = _load(data, 4, verify, recorder, decode=True)
+    steps = _load(data, verify, recorder, decode=True)
     return TernaryVector.concat_all([step.stream for step in steps])
 
 
@@ -1234,12 +1226,3 @@ def dump_file(
     ``repro verify`` would misreport as corruption.
     """
     atomic_write_bytes(path, dump_bytes(compressed, stream, recorder))
-
-
-def load_file(
-    path: Union[str, Path],
-    verify: bool = True,
-    recorder: Optional[Recorder] = None,
-) -> CompressedStream:
-    """Read a container file."""
-    return load_bytes(Path(path).read_bytes(), verify=verify, recorder=recorder)

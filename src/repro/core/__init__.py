@@ -11,7 +11,6 @@ _EXPORTS = {
     "POLICIES": ".config",
     "ConfigError": "..reliability.errors",
     "DecodeError": "..reliability.errors",
-    "LZWDecodeError": ".decoder",
     "decode": ".decoder",
     "decode_codes": ".decoder",
     "derive_final_snapshot": ".decoder",

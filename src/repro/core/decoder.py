@@ -36,15 +36,11 @@ from .stream import StreamDecoder, chars_to_vector
 
 __all__ = [
     "DecodeError",
-    "LZWDecodeError",
     "decode",
     "decode_codes",
     "derive_final_snapshot",
     "iter_decode",
 ]
-
-#: Backwards-compatible name for the typed decode failure.
-LZWDecodeError = DecodeError
 
 
 def decode(

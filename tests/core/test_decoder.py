@@ -4,8 +4,8 @@ import pytest
 
 from repro.bitstream import TernaryVector
 from repro.core import (
+    DecodeError,
     LZWConfig,
-    LZWDecodeError,
     LZWEncoder,
     decode,
     decode_codes,
@@ -26,12 +26,12 @@ class TestDecodeCodes:
         assert decode_codes([0, 1, 2], CONFIG) == [0, 1, 0, 1]
 
     def test_first_code_must_be_base(self):
-        with pytest.raises(LZWDecodeError, match="base code"):
+        with pytest.raises(DecodeError, match="base code"):
             decode_codes([2, 0], CONFIG)
 
     def test_future_code_rejected(self):
         # After [0, 1] the next free code is 3; 4 is undecodable.
-        with pytest.raises(LZWDecodeError, match="not yet in dictionary"):
+        with pytest.raises(DecodeError, match="not yet in dictionary"):
             decode_codes([0, 1, 4], CONFIG)
 
     def test_kwkwk_accepted(self):
@@ -42,14 +42,14 @@ class TestDecodeCodes:
         # entry_bits=1 allows only 1-char entries: nothing is ever added,
         # so a KwKwK reference cannot exist.
         tight = LZWConfig(char_bits=1, dict_size=8, entry_bits=1)
-        with pytest.raises(LZWDecodeError):
+        with pytest.raises(DecodeError):
             decode_codes([0, 2], tight)
 
     def test_capacity_mirrors_encoder(self):
         # dict_size=2 means no allocations at all (2 base codes).
         tiny = LZWConfig(char_bits=1, dict_size=2, entry_bits=4)
         assert decode_codes([0, 1, 1, 0], tiny) == [0, 1, 1, 0]
-        with pytest.raises(LZWDecodeError):
+        with pytest.raises(DecodeError):
             decode_codes([0, 2], tiny)
 
     def test_entry_width_mirrors_encoder(self):
@@ -79,7 +79,7 @@ class TestDecode:
         bad = CompressedStream(
             compressed.codes, config, 100, compressed.expansion_chars
         )
-        with pytest.raises(LZWDecodeError, match="expected"):
+        with pytest.raises(DecodeError, match="expected"):
             decode(bad)
 
     def test_output_is_fully_specified(self):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bitstream import TernaryVector
-from repro.container import container_version, load_segments
+from repro.container import container_version, load_seeded
 from repro.core import LZWConfig, compress, compress_batch
 from repro.parallel import ShardPlan
 
@@ -40,7 +40,7 @@ def test_sharded_batch_produces_v3_container(small_config, streams):
     for stream, item in zip(streams, results):
         assert item.num_shards > 1
         assert container_version(item.container) == 3
-        assert len(load_segments(item.container)) == item.num_shards
+        assert len(load_seeded(item.container)) == item.num_shards
         assert item.verify(stream)
 
 

@@ -20,7 +20,7 @@ from repro.container import (
     decode_container,
     dump_bytes,
     dump_segments,
-    load_segments,
+    load_seeded,
 )
 from repro.core import LZWConfig, compress, compress_batch, iter_decode
 from repro.parallel import ShardPlan
@@ -51,7 +51,7 @@ def test_batch_decodes_and_matches_serial(data):
     item = compress_batch(_CONFIG, [stream], workers=1, plans=[plan])[0]
 
     # Strict decode of every segment, concatenated, covers the input.
-    segments = load_segments(item.container)
+    segments = [seg.compressed for seg in load_seeded(item.container)]
     assert len(segments) == plan.num_shards
     decoded = decode_container(item.container)
     assert decoded.covers(stream)
@@ -96,7 +96,7 @@ def test_single_shard_batch_equals_serial_container(text):
 def test_container_roundtrip_preserves_segment_structure(data):
     stream, plan = data
     item = compress_batch(_CONFIG, [stream], workers=1, plans=[plan])[0]
-    segments = load_segments(item.container)
+    segments = [seg.compressed for seg in load_seeded(item.container)]
     assert [s.num_codes for s in segments] == [
         shard.compressed.num_codes for shard in item.shards
     ]

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from repro.container import dump_file, load_file
+from repro.container import dump_file, load_bytes
 from repro.core import LZWConfig, compress
 from repro.bitstream import TernaryVector
 from repro.reliability.atomic import atomic_write_bytes, atomic_write_text
@@ -84,7 +84,7 @@ def test_container_dump_file_goes_through_atomic_path(tmp_path, monkeypatch):
     result = compress(TernaryVector("01X0XX10" * 8), LZWConfig())
     target = tmp_path / "out.lzwt"
     dump_file(result.compressed, target, result.assigned_stream)
-    loaded = load_file(target)
+    loaded = load_bytes(target.read_bytes())
     assert loaded.codes == result.compressed.codes
 
     def explode(fd):

@@ -59,11 +59,6 @@ class TestDiagnostics:
 
 
 class TestLibraryIntegration:
-    def test_decoder_alias(self):
-        from repro.core import LZWDecodeError
-
-        assert LZWDecodeError is DecodeError
-
     def test_container_reexport(self):
         from repro.container import ContainerError as reexported
 

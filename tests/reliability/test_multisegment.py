@@ -16,7 +16,7 @@ from repro.bitstream import TernaryVector
 from repro.container import (
     SEGMENT_ENTRY_SIZE,
     V3_SEGMENT_TABLE_OFFSET,
-    load_segments,
+    load_seeded,
 )
 from repro.core import LZWConfig, compress_batch
 from repro.reliability.campaign import TrialOutcome, run_campaign
@@ -94,16 +94,16 @@ class TestVerifyReportsSegmentIndex:
                 for check in report.checks
             )
 
-    def test_load_segments_raises_with_segment_diagnostic(self, container):
+    def test_load_seeded_raises_with_segment_diagnostic(self, container):
         corrupted = bytearray(container)
         corrupted[-2] ^= 0x10
         with pytest.raises(ContainerError) as excinfo:
-            load_segments(bytes(corrupted))
-        assert hasattr(excinfo.value, "segment")
+            load_seeded(bytes(corrupted))
+        assert excinfo.value.segment == len(load_seeded(container)) - 1
 
     def test_first_segment_payload_corruption(self, container, original):
         # Corrupt the first payload byte right after the segment table.
-        segments = load_segments(container)
+        segments = load_seeded(container)
         table_end = V3_SEGMENT_TABLE_OFFSET + len(segments) * SEGMENT_ENTRY_SIZE
         corrupted = bytearray(container)
         corrupted[table_end] ^= 0xFF

@@ -15,7 +15,7 @@ from repro.container import (
     SEGMENT_ENTRY_SIZE,
     V3_HEADER_CRC_OFFSET,
     V3_SEGMENT_TABLE_OFFSET,
-    load_segments,
+    load_seeded,
 )
 from repro.core import LZWConfig, compress_batch, decode
 from repro.reliability.salvage import salvage_container
@@ -40,7 +40,7 @@ def container(original):
 
 
 def _entries(container):
-    count = len(load_segments(container))
+    count = len(load_seeded(container))
     return [
         _ENTRY.unpack_from(
             container, V3_SEGMENT_TABLE_OFFSET + i * SEGMENT_ENTRY_SIZE
@@ -137,7 +137,7 @@ def test_truncated_container_recovers_every_intact_segment(container):
     intact_bits = sum(e[1] for e in entries[:last])
     assert result.recovered_bits >= intact_bits
     full = TernaryVector.concat_all(
-        [decode(part) for part in load_segments(container)]
+        [decode(part.compressed) for part in load_seeded(container)]
     )
     assert result.stream == full[: result.recovered_bits]
     assert any("clamped" in note for note in result.notes)

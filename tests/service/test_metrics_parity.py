@@ -27,7 +27,7 @@ from repro.container import (
 from repro.core import LZWConfig, compress, derive_final_snapshot
 from repro.observability import CounterRecorder
 from repro.observability import schema as ev
-from repro.reliability.errors import DecodeError
+from repro.reliability.errors import ContainerError, DecodeError
 from repro.reliability.inject import inject
 from repro.reliability.verify import verify_container
 from repro.service import CompressionServer, ServiceClient, ServiceConfig
@@ -87,8 +87,9 @@ def _serial_reference(sets, seed):
     )
     tampered = inject(containers[0], "crc_tamper", 0)
     before = rec.counters.get(ev.DECODE_CODES, 0)
-    with pytest.raises(DecodeError):
+    with pytest.raises(ContainerError) as info:
         decode_container(tampered, recorder=rec)
+    assert isinstance(info.value.__cause__, DecodeError)
     # The failing request did decode work before its error.
     assert rec.counters[ev.DECODE_CODES] > before
     return rec.snapshot(), containers, tampered
@@ -147,7 +148,7 @@ def test_drained_metrics_equal_serial_library_calls(tmp_path, corpus):
     ok = [h for h in replies if h.get("ok")]
     failed = [h for h in replies if not h.get("ok")]
     assert len(ok) == 13 and len(failed) == 1
-    assert failed[0]["error"]["type"] == "DecodeError"
+    assert failed[0]["error"]["type"] == "ContainerError"
     assert all(h.get("verify_exit_code", 0) == 0 for h in ok)
 
     snapshot = json.loads(metrics_path.read_text())

@@ -29,7 +29,7 @@ from repro.container import (
     decode_container,
     dump_bytes,
     load_bytes,
-    load_segments,
+    load_seeded,
 )
 from repro.core import LZWConfig, compress, compress_batch, decode
 from repro.observability import CounterRecorder
@@ -194,7 +194,7 @@ def test_cold_batch_container_round_trips():
     assert item.num_shards >= 3
     assert recorder.snapshot()["counters"][ev.DICT_RESETS] >= 50
     assert container_version(item.container) == 4
-    assert len(load_segments(item.container)) == item.num_shards
+    assert len(load_seeded(item.container)) == item.num_shards
     assert decode_container(item.container) == STREAM
 
 
