@@ -19,8 +19,11 @@ the service's whole robustness contract at once:
 * **graceful drain** — SIGTERM ends the run with exit 0 and a valid
   final ``repro.metrics/1`` snapshot on disk;
 * **counter invariant** (smoke) — the drained snapshot's
-  ``service.completed`` equals the smoke's OK replies, and its
-  ``encode.codes`` equals what the serial references encoded.
+  ``service.completed`` equals the smoke's OK replies, its
+  ``encode.codes`` equals what the serial references encoded, and its
+  ``decode.codes``/``decode.chars`` equal the codes in, and the
+  characters a serial decode gets from, the containers the smoke sent
+  to ``verify`` (counted from the decode itself, not from a recorder).
 
 Run it as CI does::
 
@@ -46,8 +49,8 @@ import threading
 import time
 from pathlib import Path
 
-from repro.container import dump_bytes
-from repro.core import LZWConfig, compress
+from repro.container import dump_bytes, load_bytes
+from repro.core import LZWConfig, compress, decode_codes
 from repro.observability import NULL_RECORDER, CounterRecorder
 from repro.reliability.campaign import TrialOutcome, classify_reply
 from repro.reliability.chaos import CLIENT_FAULTS, ClientFaultPlan
@@ -321,6 +324,9 @@ def run_smoke(report_path=None):
     reference = CounterRecorder()
     corpus = _workload_texts(reference)
     raw_reference = _raw_reference(reference)
+    # Only verify requests decode in the server: each decodes every
+    # code of its container once.
+    decoded = {"decode.codes": 0, "decode.chars": 0}
     ok_replies = 0
     metrics_path = Path("soak_smoke_metrics.json").resolve()
     proc, address = _start_server(metrics_path)
@@ -339,6 +345,9 @@ def run_smoke(report_path=None):
                     )
                 stats.count("smoke.compress_ok")
                 header, _ = client.verify(payload)
+                sent = load_bytes(payload, verify=False)
+                decoded["decode.codes"] += sent.num_codes
+                decoded["decode.chars"] += len(decode_codes(sent.codes, sent.config))
                 ok_replies += bool(header.get("ok"))
                 if header.get("verify_exit_code") != 0:
                     stats.violation(f"smoke verify({name}): {header}")
@@ -361,6 +370,7 @@ def run_smoke(report_path=None):
     expected = {
         "service.completed": ok_replies,
         "encode.codes": reference.counters.get("encode.codes", 0),
+        **decoded,
     }
     for name, value in expected.items():
         if counters.get(name, 0) != value:

@@ -649,9 +649,7 @@ def _decode_prefix(
         return chars, 0, None, None
     try:
         decoder = StreamDecoder(config, recorder, seed=seed, link=link)
-        push = decoder.push
-        for code in codes:
-            chars.extend(push(code))
+        decoder.decode_into(codes, chars)
     except (DecodeError, SnapshotError) as exc:
         # A seed that passes its CRC can still fail to replay
         # (duplicate child, entry width): then no code decodes.

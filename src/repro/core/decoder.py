@@ -8,12 +8,16 @@ the encoder obeyed — and reproduces the fully specified scan stream.
 The special "code references the entry being created" case (the paper's
 Figure 4f, classic LZW's KwKwK case) is handled explicitly.
 
-The decode loop itself is :meth:`repro.core.stream.StreamDecoder.push`;
-this module exposes it over whole code sequences.  :func:`iter_decode`
-yields expansion by expansion so the salvage decoder
-(:mod:`repro.reliability.salvage`) can recover the longest decodable
-prefix of a corrupted stream; :func:`decode_codes` is the strict
-all-or-nothing wrapper.  Failures raise
+The decode loop itself is
+:meth:`repro.core.stream.StreamDecoder.decode_into`, which decodes a
+whole code sequence over the decoder's own code table; this module
+exposes it.  :func:`decode_codes` is the strict all-or-nothing wrapper
+and :func:`derive_final_snapshot` takes the table's end state, each in
+one call of the loop.  :func:`iter_decode` yields expansion by
+expansion, one code per call, for consumers that act between codes.
+The salvage decoder (:mod:`repro.reliability.salvage`) recovers the
+longest decodable prefix of a corrupted stream from the characters the
+loop produced before its first error.  Failures raise
 :class:`~repro.reliability.errors.DecodeError` carrying the code index,
 the bit offset of the code in the packed payload and the dictionary
 state at the failure point.
@@ -82,11 +86,11 @@ def decode_codes(
     """Decode a code sequence to its character sequence.
 
     Pure-function core shared by :func:`decode` and the tests that
-    cross-check the hardware model.
+    cross-check the hardware model; one call of the bulk decode loop.
     """
     out: List[int] = []
-    for _index, chars in iter_decode(codes, config, recorder, seed=seed, link=link):
-        out.extend(chars)
+    if codes:
+        StreamDecoder(config, recorder, seed=seed, link=link).decode_into(codes, out)
     return out
 
 
@@ -101,7 +105,7 @@ def iter_decode(
 
     Each yielded tuple is the expansion of ``codes[code_index]`` as
     :meth:`StreamDecoder.push <repro.core.stream.StreamDecoder.push>`
-    produces it — the dictionary is updated between yields exactly as
+    produces it — the code table is updated between yields exactly as
     the hardware would.  Raising happens *before* the offending code
     contributes any output, so a consumer that stops at the first
     :class:`DecodeError` holds precisely the longest decodable prefix.
@@ -131,8 +135,8 @@ def derive_final_snapshot(
 ) -> DictionarySnapshot:
     """Dictionary state after encoding the stream behind ``codes``.
 
-    Pushes every code through a :class:`~repro.core.stream.
-    StreamDecoder` and returns its snapshot: the state an encoder held
+    Decodes every code through one :class:`~repro.core.stream.
+    StreamDecoder` call and returns its snapshot: the state an encoder held
     **after emitting the last code but before the next cross-boundary
     allocation** — the exact seed a pipelined-wave successor shard
     needs (paired with ``link=codes[-1]``).  This is how chain seeds
@@ -146,9 +150,7 @@ def derive_final_snapshot(
     stream can never silently produce a wrong seed.
     """
     decoder = StreamDecoder(config, seed=seed, link=link)
-    push = decoder.push
-    for code in codes:
-        push(code)
+    decoder.decode_into(codes, [])
     return decoder.snapshot()
 
 

@@ -24,7 +24,7 @@ import hashlib
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..bitstream.ternary import TernaryVector
 from ..reliability.errors import SnapshotError
@@ -106,6 +106,36 @@ class DictionarySnapshot:
                     field=field,
                     expected=want,
                     actual=have,
+                )
+
+    def replay(
+        self, config: LZWConfig, add: Callable[[int, int], Optional[int]]
+    ) -> None:
+        """Replay the allocation history through ``add(parent, char)``.
+
+        The one seed validator of both dictionaries: the encoder's
+        :meth:`LZWDictionary.restore` and the decoder's
+        :class:`~repro.core.stream.CodeTable`.  ``add`` starts from the
+        base-code state and returns the new code, or ``None`` when the
+        entry cannot be created.  Raises :class:`SnapshotError` on a
+        config mismatch or when an entry cannot be replayed (duplicate
+        child / width / capacity — the semantic corruptions structural
+        validation cannot see).
+        """
+        self.require_config(config)
+        n_base = config.base_codes
+        for i, (parent, char) in enumerate(self.entries):
+            if parent >= n_base + i or char >= n_base:
+                raise SnapshotError(
+                    f"snapshot entry {i} ({parent}, {char}) is out of range",
+                    field=f"entries[{i}]",
+                )
+            if add(parent, char) is None:
+                raise SnapshotError(
+                    f"snapshot entry {i} ({parent}, {char}) is not "
+                    "replayable (duplicate child, entry width or "
+                    "capacity violation)",
+                    field=f"entries[{i}]",
                 )
 
     def to_bytes(self) -> bytes:
@@ -424,20 +454,7 @@ class LZWDictionary:
                 "restore() requires a freshly constructed dictionary",
                 actual=self.allocated,
             )
-        snapshot.require_config(self.config)
-        for i, (parent, char) in enumerate(snapshot.entries):
-            if parent >= len(self._parent) or char >= self.config.base_codes:
-                raise SnapshotError(
-                    f"snapshot entry {i} ({parent}, {char}) is out of range",
-                    field=f"entries[{i}]",
-                )
-            if self.add(parent, char) is None:
-                raise SnapshotError(
-                    f"snapshot entry {i} ({parent}, {char}) is not "
-                    "replayable (duplicate child, entry width or "
-                    "capacity violation)",
-                    field=f"entries[{i}]",
-                )
+        snapshot.replay(self.config, self.add)
 
     # ------------------------------------------------------------------
     # Introspection for experiments

@@ -143,35 +143,6 @@ else:  # pragma: no cover - exercised only on Python 3.9
         return bin(x).count("1")
 
 
-def _mask_chunks(mask: int, n: int, width: int) -> List[int]:
-    """Split ``mask`` into ``n`` little-endian ``width``-bit chunks.
-
-    Reproduces the per-character masks of
-    :func:`repro.bitstream.to_characters` (LSB = first stream bit;
-    X-padding contributes absent bits) without materialising a
-    TernaryVector per character.  Works block-wise so the stream-wide
-    integer is shifted ``n / 256`` times, not ``n`` times — the naive
-    per-character shift is quadratic in the stream length.
-    """
-    out = [0] * n
-    w = (1 << width) - 1
-    blk = 256
-    blkbits = blk * width
-    blkmask = (1 << blkbits) - 1
-    pos = 0
-    while pos < n:
-        block = mask & blkmask
-        mask >>= blkbits
-        stop = pos + blk
-        if stop > n:
-            stop = n
-        for j in range(pos, stop):
-            out[j] = block & w
-            block >>= width
-        pos = stop
-    return out
-
-
 class PackedCandidateIndex:
     """Word-packed two-mask ternary match tables over one dictionary.
 

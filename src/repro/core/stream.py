@@ -12,10 +12,15 @@ chunks; the one-shot API is a thin layer over them:
   ``_new_matcher`` factory: :func:`~repro.core.fastpath.packed_matcher`.
   Tests swap in the oracle with
   :func:`~repro.core.dontcare.reference_engine`.
-* :class:`StreamDecoder` — push codes one at a time, collect character
-  expansions.  :func:`repro.core.decoder.iter_decode` yields from it and
-  :func:`~repro.core.decoder.derive_final_snapshot` pushes every code
-  and takes its :meth:`StreamDecoder.snapshot`.
+* :class:`StreamDecoder` — :meth:`~StreamDecoder.decode_into` decodes
+  a whole code sequence into a character list over a
+  :class:`CodeTable`, the decoder's own dictionary (expansions and
+  allocation history, none of the encoder's matching state);
+  :meth:`~StreamDecoder.push` is the same loop over one code.
+  :func:`repro.core.decoder.iter_decode` yields per code through
+  ``push``; :func:`~repro.core.decoder.decode_codes`,
+  :func:`~repro.core.decoder.derive_final_snapshot`, the container
+  segment walk and the v5 frame walk and writer call ``decode_into``.
 
 Byte-identity under chunking
 ----------------------------
@@ -40,23 +45,30 @@ retention is ``O(max_entry_chars + W + chunk)`` characters regardless
 of input length.  The dictionary is capped at ``N`` codes as always,
 and the packed matcher's caches at
 :data:`~repro.core.fastpath.CACHE_LIMIT` entries each.  The decoder
-retains only the dictionary and the previous expansion.
+retains only its code table and the previous expansion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..bitstream.packing import join_fields, split_fields
 from ..bitstream.ternary import TernaryVector
 from ..observability import events as ev
 from ..observability.recorder import NULL_RECORDER, Recorder
 from ..reliability.errors import DecodeError, SnapshotError
 from .config import LZWConfig
 from .dictionary import DictionarySnapshot, LZWDictionary
-from .fastpath import _mask_chunks, _popcount, packed_matcher
+from .fastpath import _popcount, packed_matcher
 
-__all__ = ["EncodeStats", "StreamDecoder", "StreamEncoder", "chars_to_vector"]
+__all__ = [
+    "CodeTable",
+    "EncodeStats",
+    "StreamDecoder",
+    "StreamEncoder",
+    "chars_to_vector",
+]
 
 #: Builds every encoder's :class:`~repro.core.dontcare.Matcher`.  Only
 #: :func:`~repro.core.dontcare.reference_engine` rebinds it.
@@ -75,25 +87,11 @@ class EncodeStats:
 
 
 def chars_to_vector(chars: Sequence[int], char_bits: int) -> TernaryVector:
-    """Concatenate decoded character values into a fully specified vector.
-
-    Characters are packed 256 at a time into small integers whose byte
-    strings are joined and converted once, so the cost is linear in the
-    length; or-ing each character into one growing integer would be
-    quadratic.
-    """
-    block_bytes = 32 * char_bits  # 256 characters, a whole number of bytes
-    pieces = []
-    for start in range(0, len(chars), 256):
-        block = 0
-        shift = 0
-        for char in chars[start : start + 256]:
-            block |= char << shift
-            shift += char_bits
-        pieces.append(block.to_bytes(block_bytes, "little"))
+    """Concatenate decoded character values into a fully specified vector."""
     length = len(chars) * char_bits
-    value = int.from_bytes(b"".join(pieces), "little")
-    return TernaryVector.from_masks(value, (1 << length) - 1, length)
+    return TernaryVector.from_masks(
+        join_fields(chars, char_bits), (1 << length) - 1, length
+    )
 
 
 class StreamEncoder:
@@ -261,8 +259,8 @@ class StreamEncoder:
         """Split ``count`` characters off the front of ``vector``."""
         char_bits = self.config.char_bits
         lo = len(self._values)
-        self._values.extend(_mask_chunks(vector.value_mask, count, char_bits))
-        self._cares.extend(_mask_chunks(vector.care_mask, count, char_bits))
+        self._values.extend(split_fields(vector.value_mask, count, char_bits))
+        self._cares.extend(split_fields(vector.care_mask, count, char_bits))
         self._total_chars += count
         self._matcher.extend(lo)
         rec = self.recorder
@@ -395,24 +393,81 @@ class StreamEncoder:
                 rec.incr(ev.DICT_CMDATA_TRUNCATIONS)
 
 
+class CodeTable:
+    """The decoder's dictionary: what the Figure 5 memory holds, no more.
+
+    ``strings[code]`` is each live code's expansion (the memory word,
+    bounded by ``C_MDATA``).  ``entries`` maps each allocated code's
+    ``(parent, char)`` key to the code, in allocation order: its keys
+    answer the duplicate-child and KwKwK checks, and their order is the
+    history a :class:`DictionarySnapshot` records.  The encoder's
+    matching state (subtree weights, child maps, active bases) has no
+    place here; :class:`LZWDictionary` keeps it.
+    """
+
+    __slots__ = ("config", "strings", "entries")
+
+    def __init__(
+        self, config: LZWConfig, seed: Optional[DictionarySnapshot] = None
+    ) -> None:
+        self.config = config
+        self.strings: List[Tuple[int, ...]] = [
+            (c,) for c in range(config.base_codes)
+        ]
+        self.entries: Dict[Tuple[int, int], int] = {}
+        if seed is not None:
+            seed.replay(config, self.add)
+
+    @property
+    def next_code(self) -> int:
+        """Code the next allocation would receive."""
+        return len(self.strings)
+
+    def add(self, parent: int, char: int) -> Optional[int]:
+        """Allocate ``string(parent) + char`` under the same rules as
+        :meth:`LZWDictionary.add`: ``None`` when full, too wide or a
+        duplicate child."""
+        strings = self.strings
+        code = len(strings)
+        prefix = strings[parent]
+        if (
+            code >= self.config.dict_size
+            or len(prefix) >= self.config.max_entry_chars
+            or self.entries.setdefault((parent, char), code) != code
+        ):
+            return None
+        strings.append(prefix + (char,))
+        return code
+
+    def snapshot(self) -> DictionarySnapshot:
+        """The allocation history as a :class:`DictionarySnapshot`."""
+        config = self.config
+        return DictionarySnapshot(
+            config.char_bits, config.dict_size, config.entry_bits, tuple(self.entries)
+        )
+
+
 class StreamDecoder:
     """Incremental LZW decoder — the one decode loop.
 
-    :meth:`push` consumes one code and returns its character expansion,
-    updating the dictionary exactly as the hardware decompressor would,
-    including the adaptive reset and the KwKwK case.  It raises
-    :class:`~repro.reliability.errors.DecodeError` *before* the
-    offending code changes any output, so a consumer that stops at the
-    first error holds precisely the longest decodable prefix.  Because
-    the state lives in a real :class:`LZWDictionary`, :meth:`snapshot`
-    returns at any code boundary the :class:`DictionarySnapshot` a
-    resumed session or a pipelined-wave successor seeds from.
+    :meth:`decode_into` consumes a whole code sequence and extends an
+    output list with its characters, updating a :class:`CodeTable`
+    exactly as the hardware decompressor would, including the adaptive
+    reset and the KwKwK case; :meth:`push` is that loop over one code.
+    It raises :class:`~repro.reliability.errors.DecodeError` *before*
+    the offending code changes any output, so a consumer that stops at
+    the first error holds precisely the longest decodable prefix, and
+    :attr:`codes_decoded`/:attr:`chars_decoded` count it.  The
+    ``decode.*`` counters are recorded once per call, with the totals
+    of the codes that decoded.  :meth:`snapshot` returns at any code
+    boundary the :class:`DictionarySnapshot` a resumed session or a
+    pipelined-wave successor seeds from.
 
-    ``seed`` pre-fills the dictionary (the first code may then be any
-    live code, not just a base code).  ``link`` names the previous
-    segment's last code: the boundary allocation ``string(link) +
-    first_char(next code)`` is replayed on the first push, exactly as
-    an uninterrupted serial decode would have done.
+    ``seed`` pre-fills the table (the first code may then be any live
+    code, not just a base code).  ``link`` names the previous segment's
+    last code: the boundary allocation ``string(link) +
+    first_char(next code)`` is replayed before the first code, exactly
+    as an uninterrupted serial decode would have done.
     """
 
     def __init__(
@@ -423,30 +478,27 @@ class StreamDecoder:
         link: Optional[int] = None,
     ) -> None:
         self.config = config
-        self.dictionary = LZWDictionary(config)
+        self.table = CodeTable(config, seed)
         self._seeded = seed is not None
-        if seed is not None:
-            self.dictionary.restore(seed)
         self.recorder = recorder if recorder is not None else NULL_RECORDER
-        self._capacity = config.dict_size
-        self._max_chars = config.max_entry_chars
         self._prev: Optional[Tuple[int, ...]] = None
         self._prev_code = -1
         self._index = 0
         self._chars_decoded = 0
         if link is not None:
-            if not 0 <= link < self.dictionary.next_code:
+            next_code = self.table.next_code
+            if not 0 <= link < next_code:
                 raise self._error(
                     f"seed link {link} is not a live code in the seeded "
-                    f"dictionary (next free {self.dictionary.next_code})",
+                    f"dictionary (next free {next_code})",
                     link,
                 )
-            self._prev = self.dictionary.string(link)
+            self._prev = self.table.strings[link]
             self._prev_code = link
 
     @property
     def codes_decoded(self) -> int:
-        """Number of codes pushed so far."""
+        """Number of codes decoded so far."""
         return self._index
 
     @property
@@ -456,76 +508,125 @@ class StreamDecoder:
 
     def snapshot(self) -> DictionarySnapshot:
         """Dictionary state at the current code boundary (seed/digest)."""
-        return self.dictionary.snapshot()
+        return self.table.snapshot()
 
     def _error(self, message: str, code: int) -> DecodeError:
-        """A DecodeError locating ``code`` at the current push."""
+        """A DecodeError locating ``code`` at the current code index."""
         return DecodeError(
             message,
             code_index=self._index,
             code=code,
             bit_offset=self._index * self.config.code_bits,
-            dict_next_code=self.dictionary.next_code,
+            dict_next_code=self.table.next_code,
             chars_decoded=self._chars_decoded,
         )
 
     def push(self, code: int) -> Tuple[int, ...]:
         """Decode one code; returns its expansion, raises DecodeError."""
-        rec = self.recorder
-        recording = rec.enabled
-        dictionary = self.dictionary
-        strings = dictionary._strings  # reset() and add() keep this list
+        self.decode_into((code,), [])
+        return self._prev  # type: ignore[return-value]
+
+    def decode_into(self, codes: Sequence[int], out: List[int]) -> None:
+        """Decode ``codes`` in order, extending ``out`` with their characters.
+
+        On a :class:`DecodeError` ``out`` holds the characters of every
+        code before the failing one, and the decoder stands just after
+        the last of them.
+        """
+        table = self.table
+        strings = table.strings
+        entries = table.entries
+        config = self.config
+        capacity = config.dict_size
+        max_chars = config.max_entry_chars
+        # The allocation that would take the last free code resets the
+        # table instead (adaptive variant); -1 never matches.
+        reset_at = capacity - 1 if config.reset_on_full else -1
+        n_base = config.base_codes
         next_code = len(strings)
         prev = self._prev
-        if prev is None:
+        prev_code = self._prev_code
+        start = len(out)
+        extend = out.extend
+        allocs = resets = decoded = 0
+        error: Optional[str] = None
+        if prev is None and codes:
             # First code of a cold or blob-seeded stream: no boundary
             # allocation precedes it.
-            if not 0 <= code < next_code:
-                raise self._error(
+            code = codes[0]
+            if 0 <= code < next_code:
+                prev = strings[code]
+                prev_code = code
+                extend(prev)
+                decoded = 1
+                codes = codes[1:]
+            elif self._seeded:
+                error = (
                     f"first code {code} not in seeded dictionary "
                     f"(next free {next_code})"
-                    if self._seeded
-                    else f"first code {code} must be a base code (< {next_code})",
-                    code,
                 )
-            current = strings[code]
-        else:
-            capacity = self._capacity
-            # Will the encoder have allocated string(prev)+head after
-            # emitting prev?  (Arithmetic, not can_extend(): prev_code
-            # may predate an adaptive reset, when its node is gone.)
-            will_add = next_code < capacity and len(prev) < self._max_chars
-            if will_add and next_code == capacity - 1 and self.config.reset_on_full:
-                dictionary.reset()
-                will_add = False
-                next_code = len(strings)
-                if recording:
-                    rec.incr(ev.DECODE_RESETS)
-            if 0 <= code < next_code:
-                current = strings[code]
-            elif (
-                code == next_code
-                and will_add
-                and dictionary.lookup_child(self._prev_code, prev[0]) is None
-            ):
-                # KwKwK (Figure 4f): the code names the entry being created.
-                current = prev + (prev[0],)
             else:
-                raise self._error(
-                    f"code {code} not yet in dictionary (next free {next_code})",
-                    code,
-                )
-            # add() no-ops (None) on an existing child — at a link
-            # boundary whose shard cut truncated a phrase mid-match the
-            # encoder skipped the same allocation.
-            if will_add and dictionary.add(self._prev_code, current[0]) is not None:
-                if recording:
-                    rec.incr(ev.DECODE_DICT_ENTRIES)
-        if recording:
-            rec.incr(ev.DECODE_CODES)
-            rec.incr(ev.DECODE_CHARS, len(current))
-        self._prev = current
-        self._prev_code = code
-        self._index += 1
-        self._chars_decoded += len(current)
-        return current
+                error = f"first code {code} must be a base code (< {next_code})"
+        if error is None:
+            skipped = decoded
+            end = skipped + len(codes)
+            setdefault = entries.setdefault
+            for decoded, code in enumerate(codes, skipped):
+                # Will the encoder have allocated string(prev)+head
+                # after emitting prev?  (Arithmetic on the expansion,
+                # not the key set: prev_code may predate an adaptive
+                # reset, when its entry is gone.)
+                if next_code < capacity and len(prev) < max_chars:
+                    if next_code == reset_at:
+                        del strings[n_base:]
+                        entries.clear()
+                        next_code = n_base
+                        resets += 1
+                        if not 0 <= code < next_code:
+                            break
+                        current = strings[code]
+                    else:
+                        if 0 <= code < next_code:
+                            current = strings[code]
+                        elif code == next_code and (prev_code, prev[0]) not in entries:
+                            # KwKwK (Figure 4f): the code names the
+                            # entry being created.
+                            current = prev + prev[:1]
+                        else:
+                            break
+                        # An existing child is not allocated again: at a
+                        # link boundary whose shard cut truncated a
+                        # phrase mid-match the encoder skipped the same
+                        # allocation.
+                        head = current[0]
+                        if setdefault((prev_code, head), next_code) == next_code:
+                            strings.append(prev + (head,))
+                            next_code += 1
+                            allocs += 1
+                elif 0 <= code < next_code:
+                    current = strings[code]
+                else:
+                    break
+                extend(current)
+                prev = current
+                prev_code = code
+            else:
+                decoded = end
+            if decoded < end:  # the loop stopped at an undecodable code
+                error = f"code {code} not yet in dictionary (next free {next_code})"
+        chars = len(out) - start
+        self._prev = prev
+        self._prev_code = prev_code
+        rec = self.recorder
+        if rec.enabled:
+            if allocs:
+                rec.incr(ev.DECODE_DICT_ENTRIES, allocs)
+            if resets:
+                rec.incr(ev.DECODE_RESETS, resets)
+            if decoded:
+                rec.incr(ev.DECODE_CODES, decoded)
+                rec.incr(ev.DECODE_CHARS, chars)
+        self._index += decoded
+        self._chars_decoded += chars
+        if error is not None:
+            raise self._error(error, code)

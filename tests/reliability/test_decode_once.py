@@ -1,8 +1,9 @@
 """Each code is decoded exactly once per read of a v1–v4 container.
 
-A counting spy on :meth:`StreamDecoder.push` (the one decode loop)
-checks that ``repro decompress``, ``decode_container``,
-``verify_container`` and ``salvage_container`` push every code once:
+A counting spy on :meth:`StreamDecoder.decode_into` (the one decode
+loop, which :meth:`StreamDecoder.push` delegates to) checks that
+``repro decompress``, ``decode_container``, ``verify_container`` and
+``salvage_container`` decode every code once:
 the digest check reuses the decode it returns, and a chain segment's
 seed is the end state of the decoder that decoded its predecessor, not
 a second decode of the predecessor's codes.
@@ -69,13 +70,13 @@ def wave_container(original):
 def pushes(monkeypatch):
     """A list that records one entry per decoded code."""
     calls = []
-    push = StreamDecoder.push
+    decode_into = StreamDecoder.decode_into
 
-    def counting_push(self, code):
-        calls.append(code)
-        return push(self, code)
+    def counting_decode_into(self, codes, out):
+        calls.extend(codes)
+        return decode_into(self, codes, out)
 
-    monkeypatch.setattr(StreamDecoder, "push", counting_push)
+    monkeypatch.setattr(StreamDecoder, "decode_into", counting_decode_into)
     return calls
 
 
@@ -200,15 +201,14 @@ def _swap_last_code(compressed):
     of the same expansion length: it decodes, to the right length, but
     to other characters."""
     decoder = StreamDecoder(compressed.config)
-    for code in compressed.codes[:-1]:
-        decoder.push(code)
+    decoder.decode_into(compressed.codes[:-1], [])
     last = compressed.codes[-1]
     width = compressed.expansion_chars[-1]
-    dictionary = decoder.dictionary
+    strings = decoder.table.strings
     other = next(
         code
-        for code in range(dictionary.next_code)
-        if code != last and dictionary.nchars(code) == width
+        for code in range(len(strings))
+        if code != last and len(strings[code]) == width
     )
     return dataclasses.replace(compressed, codes=compressed.codes[:-1] + (other,))
 
