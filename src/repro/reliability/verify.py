@@ -350,7 +350,7 @@ def _verify_stream(
             )
 
     if original is not None and all(check.ok for check in checks):
-        decoded = chars_to_vector(tuple(chars), config.char_bits)
+        decoded = chars_to_vector(chars, config.char_bits)
         checks.append(
             _coverage(decoded[: terminal.total_original_bits], original, rec)
         )
